@@ -31,9 +31,8 @@ use std::collections::BTreeMap;
 /// draws are split **per orphaning site**: site `s` consumes the
 /// `stream_indexed("orphan-backoff", s)` family, so one site's outage
 /// history never perturbs another site's jitter sequence — the common
-/// random-number property the sharded market runner relies on, and the
-/// reason two runs that only differ in *when* an unrelated site crashes
-/// still draw identical delays here. With `jitter == 0` no stream is
+/// random-number property that makes two runs that only differ in
+/// *when* an unrelated site crashes still draw identical delays here. With `jitter == 0` no stream is
 /// ever created and the delay is exactly the capped exponential —
 /// byte-identical to the un-jittered schedule.
 ///

@@ -657,7 +657,13 @@ pub fn analyze(label: &str, events: &[TraceEvent], opts: &AnalyzeOptions) -> Tra
             let (mut lo, hi) = ((*cursor - t0) * scale, (now - t0) * scale);
             while lo < hi {
                 let idx = (lo.floor() as usize).min(buckets - 1);
-                let edge = (idx as f64 + 1.0).min(hi);
+                // The last bucket absorbs anything past the span: events
+                // need not be time-sorted, so `hi` can exceed `buckets`.
+                let edge = if idx + 1 == buckets {
+                    hi
+                } else {
+                    (idx as f64 + 1.0).min(hi)
+                };
                 integrals[idx] += b * (edge - lo) / scale;
                 lo = edge;
             }
@@ -1132,6 +1138,30 @@ mod tests {
         // Two processors busy over the whole span.
         assert!((tl.mean_busy - 2.0).abs() < 1e-9);
         assert!(tl.busy.iter().all(|b| (b - 2.0).abs() < 1e-9));
+    }
+
+    #[test]
+    fn utilization_terminates_when_an_event_outlasts_the_last_one() {
+        // A completion stamped after the stream's last event puts the
+        // interval end past the final bucket; it must fold into that
+        // bucket rather than loop forever.
+        let events = vec![
+            sched(0.0, 1, 10.0, 1),
+            ev(
+                10.0,
+                Some(1),
+                TraceKind::Completed {
+                    earned: 8.0,
+                    delay: 0.0,
+                    width: 1,
+                    preemptions: 0,
+                },
+            ),
+            ev(5.0, Some(2), TraceKind::TaskArrived { accepted: true }),
+        ];
+        let r = analyze("t", &events, &AnalyzeOptions::default());
+        assert_eq!(r.utilization.len(), 1);
+        assert_eq!(r.utilization[0].peak_busy, 1);
     }
 
     #[test]

@@ -54,8 +54,6 @@ pub use event::{
     MAX_DECISION_CANDIDATES,
 };
 pub use metrics::{MetricsRegistry, PolicyMetrics};
-pub use profiler::{
-    ProfileReport, SectionProfile, ServeSummary, ShardProfile, ShardSummary, PROFILE_MARKER,
-};
+pub use profiler::{ProfileReport, SectionProfile, ServeSummary, PROFILE_MARKER};
 pub use sink::{BufferSink, JsonlSink, RingSink, TraceSink, Tracer, TracerSnapshot};
 pub use telemetry::{TelemetrySnapshot, TELEMETRY_BUCKETS};

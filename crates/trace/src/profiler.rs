@@ -17,9 +17,8 @@ pub const PROFILE_MARKER: &str = "mbts_profile";
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 pub struct SectionProfile {
     /// Stable section name (`pool_insert`, `cost_model_update`,
-    /// `merge_sweep`, `snapshot_write`, `shard_window`, `barrier_stall`,
-    /// `serve_parse`, `serve_queue_wait`, `serve_apply`,
-    /// `serve_journal_append`).
+    /// `merge_sweep`, `snapshot_write`, `serve_parse`, `serve_queue_wait`,
+    /// `serve_apply`, `serve_journal_append`).
     pub section: String,
     /// Samples recorded.
     pub count: u64,
@@ -64,39 +63,6 @@ fn upper_edge_ns(bucket: usize) -> u64 {
     1u64 << (bucket as u32 + 1).min(63)
 }
 
-/// One shard's execution summary from a sharded market run.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
-pub struct ShardProfile {
-    /// Shard index (contiguous site ranges, ascending).
-    pub shard: usize,
-    /// Sites hosted by this shard.
-    pub sites: usize,
-    /// Nanoseconds the shard spent executing operations.
-    pub busy_ns: u64,
-    /// Operations (evaluations, awards, completion windows, …) executed.
-    pub ops: u64,
-    /// `busy_ns` over the run's wall-clock time, in `[0, 1]`-ish
-    /// (threaded shards overlap, so the sum can exceed 1).
-    pub utilization: f64,
-}
-
-/// Cluster-level summary of a sharded market run, folded into the
-/// profile report by the CLI when `--shards` and `--profile` combine.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
-pub struct ShardSummary {
-    /// Per-shard rows, ascending by shard index.
-    pub shards: Vec<ShardProfile>,
-    /// Completion windows merged by the coordinator.
-    pub windows: u64,
-    /// Nanoseconds the coordinator spent waiting between the first and
-    /// last shard reply across all barriers.
-    pub barrier_stall_ns: u64,
-    /// Wall-clock nanoseconds of the whole run.
-    pub wall_ns: u64,
-    /// Whether shards ran on worker threads (vs. inline).
-    pub threaded: bool,
-}
-
 /// Request-outcome counters of one `mbts serve` session, folded into
 /// the profile report on shutdown so `mbts metrics --prom` can export
 /// accept/shed/timeout rates next to the latency histograms.
@@ -134,10 +100,6 @@ pub struct ProfileReport {
     pub enabled: bool,
     /// Per-section histograms, wire order.
     pub sections: Vec<SectionProfile>,
-    /// Shard-cluster summary, present only for sharded market runs.
-    /// Defaults keep reports written before this field deserializable.
-    #[serde(default)]
-    pub shards: Option<ShardSummary>,
     /// Service request counters, present only for `mbts serve` runs.
     #[serde(default)]
     pub serve: Option<ServeSummary>,
@@ -159,7 +121,6 @@ impl ProfileReport {
                     buckets: s.buckets,
                 })
                 .collect(),
-            shards: None,
             serve: None,
         }
     }
@@ -189,25 +150,6 @@ impl ProfileReport {
                     s.quantile_ns(0.50),
                     s.quantile_ns(0.99),
                     s.max_ns
-                ));
-            }
-        }
-        if let Some(sh) = &self.shards {
-            out.push_str(&format!(
-                "shard cluster ({} shards, {}, {} windows, barrier stall {:.3}ms)\n",
-                sh.shards.len(),
-                if sh.threaded { "threaded" } else { "inline" },
-                sh.windows,
-                sh.barrier_stall_ns as f64 * 1e-6
-            ));
-            for p in &sh.shards {
-                out.push_str(&format!(
-                    "  shard {:<3} sites={:<5} ops={:<9} busy {:>10.3}ms  utilization {:>6.1}%\n",
-                    p.shard,
-                    p.sites,
-                    p.ops,
-                    p.busy_ns as f64 * 1e-6,
-                    p.utilization * 100.0
                 ));
             }
         }
@@ -271,41 +213,6 @@ impl ProfileReport {
                 s.section, s.count
             ));
         }
-        if let Some(sh) = &self.shards {
-            out.push_str(
-                "# HELP mbts_shard_busy_seconds Time each market shard spent executing\n\
-                 # TYPE mbts_shard_busy_seconds gauge\n",
-            );
-            for p in &sh.shards {
-                out.push_str(&format!(
-                    "mbts_shard_busy_seconds{{shard=\"{}\"}} {:e}\n",
-                    p.shard,
-                    p.busy_ns as f64 * 1e-9
-                ));
-            }
-            out.push_str(
-                "# HELP mbts_shard_utilization Shard busy time over run wall-clock time\n\
-                 # TYPE mbts_shard_utilization gauge\n",
-            );
-            for p in &sh.shards {
-                out.push_str(&format!(
-                    "mbts_shard_utilization{{shard=\"{}\"}} {}\n",
-                    p.shard, p.utilization
-                ));
-            }
-            out.push_str(&format!(
-                "# HELP mbts_shard_barrier_stall_seconds Coordinator wait between first and last shard reply\n\
-                 # TYPE mbts_shard_barrier_stall_seconds counter\n\
-                 mbts_shard_barrier_stall_seconds {:e}\n",
-                sh.barrier_stall_ns as f64 * 1e-9
-            ));
-            out.push_str(&format!(
-                "# HELP mbts_shard_windows_total Completion windows merged by the coordinator\n\
-                 # TYPE mbts_shard_windows_total counter\n\
-                 mbts_shard_windows_total {}\n",
-                sh.windows
-            ));
-        }
         if let Some(sv) = &self.serve {
             out.push_str(
                 "# HELP mbts_serve_requests_total Service requests by outcome\n\
@@ -348,11 +255,11 @@ mod tests {
     fn capture_serializes_and_round_trips() {
         let report = ProfileReport::capture();
         assert_eq!(report.kind, PROFILE_MARKER);
-        assert_eq!(report.sections.len(), 10);
+        assert_eq!(report.sections.len(), 8);
         assert_eq!(report.sections[0].section, "pool_insert");
-        assert_eq!(report.sections[6].section, "serve_parse");
-        assert_eq!(report.sections[8].section, "serve_apply");
-        assert_eq!(report.sections[9].section, "serve_journal_append");
+        assert_eq!(report.sections[4].section, "serve_parse");
+        assert_eq!(report.sections[6].section, "serve_apply");
+        assert_eq!(report.sections[7].section, "serve_journal_append");
         let json = serde_json::to_string(&report).unwrap();
         let back: ProfileReport = serde_json::from_str(&json).unwrap();
         assert_eq!(back, report);
@@ -404,7 +311,6 @@ mod tests {
             kind: PROFILE_MARKER.into(),
             enabled: false,
             sections: vec![],
-            shards: None,
             serve: None,
         };
         assert!(report.is_empty());
@@ -412,47 +318,12 @@ mod tests {
     }
 
     #[test]
-    fn shard_summary_renders_in_text_and_prometheus() {
-        let mut report = ProfileReport::capture();
-        report.shards = Some(ShardSummary {
-            shards: vec![
-                ShardProfile {
-                    shard: 0,
-                    sites: 4,
-                    busy_ns: 2_000_000,
-                    ops: 120,
-                    utilization: 0.5,
-                },
-                ShardProfile {
-                    shard: 1,
-                    sites: 4,
-                    busy_ns: 1_000_000,
-                    ops: 80,
-                    utilization: 0.25,
-                },
-            ],
-            windows: 17,
-            barrier_stall_ns: 300_000,
-            wall_ns: 4_000_000,
-            threaded: true,
-        });
-        let text = report.render_text();
-        assert!(text.contains("shard cluster (2 shards, threaded, 17 windows"));
-        assert!(text.contains("shard 0"));
-        assert!(text.contains("utilization   50.0%"));
-        let prom = report.render_prometheus();
-        assert!(prom.contains("mbts_shard_busy_seconds{shard=\"0\"} 2e-3"));
-        assert!(prom.contains("mbts_shard_utilization{shard=\"1\"} 0.25"));
-        assert!(prom.contains("mbts_shard_windows_total 17"));
-        assert!(prom.contains("mbts_shard_barrier_stall_seconds 3.0000000000000003e-4"));
-    }
-
-    #[test]
-    fn reports_without_a_shard_field_still_deserialize() {
-        // Files written before the shard summary existed omit the key.
-        let legacy = r#"{"kind":"mbts_profile","enabled":false,"sections":[]}"#;
+    fn reports_with_a_legacy_shards_field_still_deserialize() {
+        // Files written by builds that had a sharded market carry a
+        // `shards` key; it is ignored.
+        let legacy = r#"{"kind":"mbts_profile","enabled":false,"sections":[],"shards":null}"#;
         let report: ProfileReport = serde_json::from_str(legacy).unwrap();
-        assert!(report.shards.is_none());
+        assert!(report.serve.is_none());
         let json = serde_json::to_string(&report).unwrap();
         let back: ProfileReport = serde_json::from_str(&json).unwrap();
         assert_eq!(back, report);

@@ -13,7 +13,7 @@
 //! mbts market --trace trace.json [--sites N] [--procs-per-site P]
 //!             [--policy SPEC] [--admission SPEC]
 //!             [--selection earliest|slack|random|first] [--second-price]
-//!             [--journal FILE] [--shards N]
+//!             [--journal FILE]
 //! mbts serve  [--addr HOST:PORT] [--journal FILE] [--processors P]
 //!             [--policy SPEC] [--admission SPEC] [--queue-cap N]
 //!             [--shed-threshold N] [--time-scale X] [--provenance]
@@ -34,15 +34,6 @@
 //! analyze` post-processes any of those outputs (plus durable journals)
 //! into yield-attribution, preemption-chain, admission-regret and
 //! utilization reports.
-//!
-//! `--shards N` runs the economy as N parallel site groups under the
-//! conservative parallel-discrete-event engine; the result is
-//! bit-identical to the serial run, and the summary (plus the profile
-//! report, when `--profile` is also given) gains per-shard utilization
-//! and barrier-stall figures. `--shards` is incompatible with
-//! `--journal`: the durable journal serializes one global event order,
-//! which only the serial engine produces — passing both is a parse
-//! error, not a silent fallback.
 //!
 //! `mbts serve` fronts the same deterministic core as a live HTTP+JSON
 //! daemon: every accepted command is journal-appended *before* it is
@@ -140,10 +131,6 @@ pub enum Command {
         /// Enable the hot-path self-profiler and write its report
         /// (JSON) to this path.
         profile: Option<PathBuf>,
-        /// Run the economy sharded across this many parallel site
-        /// groups (1 = the serial engine). Results are bit-identical
-        /// whatever the count.
-        shards: usize,
     },
     /// Post-process trace / journal / profiler files into reports.
     Analyze {
@@ -439,10 +426,8 @@ pub fn usage() -> &'static str {
      \x20           [--audit FILE] [--journal FILE] [--trace-out FILE [--provenance]]\n\
      \x20           [--profile FILE]\n\
      mbts market <--trace FILE | --workflow FILE> [--sites N] [--procs-per-site P] [--policy SPEC]\n\
-     \x20           [--admission SPEC] [--selection KIND] [--second-price] [--shards N]\n\
+     \x20           [--admission SPEC] [--selection KIND] [--second-price] [--seed S]\n\
      \x20           [--journal FILE] [--trace-out FILE [--provenance]] [--profile FILE]\n\
-     \x20           (--shards N is incompatible with --journal FILE: the durable\n\
-     \x20            journal requires the serial engine's global event order)\n\
      mbts serve  [--addr HOST:PORT] [--journal FILE] [--processors P] [--policy SPEC]\n\
      \x20           [--admission SPEC] [--queue-cap N] [--shed-threshold N]\n\
      \x20           [--time-scale X] [--snapshot-every N] [--fsync-every N]\n\
@@ -583,6 +568,21 @@ pub fn parse(args: &[String]) -> Result<Command, String> {
             })
         }
         "market" => {
+            let mut skip = false;
+            for a in &rest {
+                if skip {
+                    skip = false;
+                    continue;
+                }
+                match *a {
+                    "--trace" | "--workflow" | "--sites" | "--procs-per-site" | "--policy"
+                    | "--admission" | "--selection" | "--seed" | "--journal" | "--trace-out"
+                    | "--profile" => skip = true,
+                    "--second-price" | "--provenance" => {}
+                    f if f.starts_with("--") => return Err(format!("unknown flag '{f}'")),
+                    other => return Err(format!("unexpected argument '{other}'")),
+                }
+            }
             let trace = get("--trace").map(PathBuf::from);
             let workflow = get("--workflow").map(PathBuf::from);
             match (&trace, &workflow) {
@@ -614,23 +614,14 @@ pub fn parse(args: &[String]) -> Result<Command, String> {
             if provenance && trace_out.is_none() {
                 return Err("--provenance requires --trace-out FILE".into());
             }
-            let journal = get("--journal").map(PathBuf::from);
-            let shards = int("--shards", 1)?;
-            if shards == 0 {
-                return Err("--shards must be at least 1".into());
-            }
-            if shards > 1 && journal.is_some() {
-                return Err("--shards requires the serial engine; drop --journal".into());
-            }
             Ok(Command::Market {
                 trace,
                 workflow,
                 economy,
-                journal,
+                journal: get("--journal").map(PathBuf::from),
                 trace_out,
                 provenance,
                 profile: get("--profile").map(PathBuf::from),
-                shards,
             })
         }
         "analyze" => {
@@ -953,73 +944,16 @@ fn write_trace_out(
     writeln!(out, "trace: {} events -> {}", events.len(), path.display()).map_err(|e| e.to_string())
 }
 
-/// Converts a market-layer shard report into the trace-layer summary
-/// that rides along in the profile report.
-fn shard_summary(stats: &mbts_market::ShardStats) -> mbts_trace::ShardSummary {
-    mbts_trace::ShardSummary {
-        shards: stats
-            .shards
-            .iter()
-            .map(|s| mbts_trace::ShardProfile {
-                shard: s.shard,
-                sites: s.sites,
-                busy_ns: s.busy_ns,
-                ops: s.ops,
-                utilization: s.utilization(stats.wall_ns),
-            })
-            .collect(),
-        windows: stats.windows,
-        barrier_stall_ns: stats.barrier_stall_ns,
-        wall_ns: stats.wall_ns,
-        threaded: stats.threaded,
-    }
-}
-
-/// Prints the per-shard utilization table after a sharded market run.
-fn shard_banner(
-    summary: &mbts_trace::ShardSummary,
-    out: &mut dyn std::io::Write,
-) -> Result<(), String> {
-    writeln!(
-        out,
-        "shards: {} ({}), {} windows, barrier stall {:.3}ms",
-        summary.shards.len(),
-        if summary.threaded {
-            "threaded"
-        } else {
-            "inline"
-        },
-        summary.windows,
-        summary.barrier_stall_ns as f64 * 1e-6
-    )
-    .map_err(|e| e.to_string())?;
-    for p in &summary.shards {
-        writeln!(
-            out,
-            "  shard {}: {} sites, {} ops, busy {:.3}ms, utilization {:.1}%",
-            p.shard,
-            p.sites,
-            p.ops,
-            p.busy_ns as f64 * 1e-6,
-            p.utilization * 100.0
-        )
-        .map_err(|e| e.to_string())?;
-    }
-    Ok(())
-}
-
 /// Disarms the self-profiler and saves its report, if it was armed.
 fn write_profile_out(
     armed: bool,
     path: Option<&std::path::Path>,
-    shards: Option<mbts_trace::ShardSummary>,
     out: &mut dyn std::io::Write,
 ) -> Result<(), String> {
     if !armed {
         return Ok(());
     }
-    let mut report = mbts_trace::ProfileReport::capture();
-    report.shards = shards;
+    let report = mbts_trace::ProfileReport::capture();
     mbts_sim::profiler::disable();
     let Some(path) = path else { return Ok(()) };
     let json = serde_json::to_string_pretty(&report).map_err(|e| e.to_string())?;
@@ -1269,7 +1203,7 @@ pub fn execute(cmd: Command, out: &mut dyn std::io::Write) -> Result<(), String>
                 }
             };
             write_trace_out(trace_out.as_deref(), tracer, out)?;
-            write_profile_out(profiling, profile.as_deref(), None, out)?;
+            write_profile_out(profiling, profile.as_deref(), out)?;
             let m = &outcome.metrics;
             writeln!(
                 out,
@@ -1357,7 +1291,6 @@ pub fn execute(cmd: Command, out: &mut dyn std::io::Write) -> Result<(), String>
             trace_out,
             provenance,
             profile,
-            shards,
         } => {
             let wfset = load_workflow_set(workflow.as_deref())?;
             let trace = match (&wfset, trace) {
@@ -1379,22 +1312,6 @@ pub fn execute(cmd: Command, out: &mut dyn std::io::Write) -> Result<(), String>
             }
             let tracer = make_tracer(trace_out.is_some(), provenance);
             let profiling = start_profiling(profile.is_some());
-            if shards > 1 {
-                let mut run = mbts_market::ShardedEconomyRun::new(
-                    economy,
-                    &trace,
-                    tracer,
-                    shards,
-                    mbts_market::ShardExecMode::Auto,
-                );
-                run.run_to_completion();
-                let summary = shard_summary(&run.shard_stats());
-                let (outcome, tracer) = run.finish();
-                shard_banner(&summary, out)?;
-                write_trace_out(trace_out.as_deref(), tracer, out)?;
-                write_profile_out(profiling, profile.as_deref(), Some(summary), out)?;
-                return market_summary(&outcome, out);
-            }
             let (outcome, tracer) = match journal {
                 Some(path) => {
                     let j = mbts_durable::Journal::create(&path)
@@ -1422,7 +1339,7 @@ pub fn execute(cmd: Command, out: &mut dyn std::io::Write) -> Result<(), String>
                 None => Economy::new(economy).run_trace_traced(&trace, tracer),
             };
             write_trace_out(trace_out.as_deref(), tracer, out)?;
-            write_profile_out(profiling, profile.as_deref(), None, out)?;
+            write_profile_out(profiling, profile.as_deref(), out)?;
             market_summary(&outcome, out)
         }
         Command::Analyze {
@@ -2057,31 +1974,38 @@ mod tests {
         ))
         .unwrap();
         match cmd {
-            Command::Market {
-                economy, shards, ..
-            } => {
+            Command::Market { economy, .. } => {
                 assert_eq!(economy.sites.len(), 2);
                 assert_eq!(economy.sites[0].processors, 6);
                 assert_eq!(economy.selection, ClientSelection::Random);
                 assert_eq!(economy.pricing, PricingStrategy::second_price());
-                assert_eq!(shards, 1, "serial engine by default");
             }
             other => panic!("wrong command: {other:?}"),
         }
     }
 
     #[test]
-    fn parse_market_shards_flag() {
-        match parse(&args("market --trace t.json --sites 8 --shards 4")).unwrap() {
-            Command::Market { shards, .. } => assert_eq!(shards, 4),
-            other => panic!("wrong command: {other:?}"),
-        }
-        assert!(parse(&args("market --trace t.json --shards 0")).is_err());
-        // The durable journal wraps the serial engine only.
-        assert!(parse(&args("market --trace t.json --shards 2 --journal j.bin")).is_err());
-        assert!(parse(&args("market --trace t.json --shards 1 --journal j.bin")).is_ok());
-        // The incompatibility is documented, not just enforced.
-        assert!(usage().contains("--shards N is incompatible with --journal FILE"));
+    fn parse_market_rejects_unknown_flags() {
+        // A flag market does not know is an error, never silently ignored.
+        assert_eq!(
+            parse(&args("market --trace t.json --shards 4")).unwrap_err(),
+            "unknown flag '--shards'"
+        );
+        assert_eq!(
+            parse(&args("market --trace t.json --site 4")).unwrap_err(),
+            "unknown flag '--site'"
+        );
+        assert_eq!(
+            parse(&args("market --trace t.json stray")).unwrap_err(),
+            "unexpected argument 'stray'"
+        );
+        // Every flag in the usage line is accepted, valued and boolean alike.
+        assert!(parse(&args(
+            "market --trace t.json --sites 2 --procs-per-site 4 --policy srpt \
+             --admission slack:0 --selection first --second-price --seed 3 \
+             --journal j.bin --trace-out t.jsonl --provenance --profile p.json"
+        ))
+        .is_ok());
     }
 
     #[test]
@@ -2148,16 +2072,12 @@ mod tests {
             }
             other => panic!("wrong command: {other:?}"),
         }
-        match parse(&args("market --workflow w.json --sites 2 --shards 4")).unwrap() {
+        match parse(&args("market --workflow w.json --sites 2")).unwrap() {
             Command::Market {
-                trace,
-                workflow,
-                shards,
-                ..
+                trace, workflow, ..
             } => {
                 assert!(trace.is_none());
                 assert_eq!(workflow, Some(PathBuf::from("w.json")));
-                assert_eq!(shards, 4);
             }
             other => panic!("wrong command: {other:?}"),
         }
@@ -2166,9 +2086,8 @@ mod tests {
         assert!(parse(&args("run --trace t.json --workflow w.json")).is_err());
         assert!(parse(&args("market")).is_err());
         assert!(parse(&args("market --trace t.json --workflow w.json")).is_err());
-        // Workflow market runs journal and shard like plain ones.
+        // Workflow market runs journal like plain ones.
         assert!(parse(&args("market --workflow w.json --journal j.bin")).is_ok());
-        assert!(parse(&args("market --workflow w.json --shards 2 --journal j.bin")).is_err());
     }
 
     #[test]
@@ -2603,67 +2522,6 @@ mod tests {
         assert!(String::from_utf8_lossy(&buf).contains("first-reward"));
 
         std::fs::remove_file(&path).ok();
-    }
-
-    #[test]
-    fn sharded_market_cli_matches_serial_and_reports_shards() {
-        let dir = std::env::temp_dir().join("mbts-cli-shards");
-        std::fs::create_dir_all(&dir).unwrap();
-        let path = dir.join("trace.json");
-        let path_s = path.to_str().unwrap();
-        let profile = dir.join("profile.json");
-
-        let mut buf = Vec::new();
-        execute(
-            parse(&args(&format!(
-                "gen --out {path_s} --tasks 150 --processors 8 --load 1.4 --seed 9"
-            )))
-            .unwrap(),
-            &mut buf,
-        )
-        .unwrap();
-
-        let market =
-            format!("market --trace {path_s} --sites 4 --procs-per-site 2 --admission slack:0");
-        let mut serial = Vec::new();
-        execute(parse(&args(&market)).unwrap(), &mut serial).unwrap();
-        let serial = String::from_utf8_lossy(&serial).to_string();
-
-        let mut sharded = Vec::new();
-        execute(
-            parse(&args(&format!(
-                "{market} --shards 4 --profile {}",
-                profile.display()
-            )))
-            .unwrap(),
-            &mut sharded,
-        )
-        .unwrap();
-        let sharded = String::from_utf8_lossy(&sharded).to_string();
-
-        // The sharded run prepends its utilization banner; the economy
-        // summary that follows must be identical to the serial run's.
-        assert!(sharded.contains("shards: 4"), "{sharded}");
-        assert!(sharded.contains("shard 0:"), "{sharded}");
-        assert!(sharded.contains("utilization"), "{sharded}");
-        let summary = sharded
-            .lines()
-            .skip_while(|l| !l.contains("sites | offered"))
-            .collect::<Vec<_>>()
-            .join("\n");
-        assert!(serial.trim_end().ends_with(summary.trim_end()), "{sharded}");
-
-        // The profile report carries the shard summary for `analyze`
-        // and `metrics --prom`.
-        let report = read_profile_report(&profile).unwrap();
-        let shards = report.shards.clone().expect("shard summary present");
-        assert_eq!(shards.shards.len(), 4);
-        assert!(report
-            .render_prometheus()
-            .contains("mbts_shard_utilization"));
-
-        std::fs::remove_file(&path).ok();
-        std::fs::remove_file(&profile).ok();
     }
 
     #[test]

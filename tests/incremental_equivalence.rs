@@ -8,10 +8,7 @@
 use mbts::core::{
     build_candidate, AdmissionPolicy, CostModel, Job, Policy, ScheduleEntry, ScheduleMode, ScoreCtx,
 };
-use mbts::market::{
-    Economy, EconomyConfig, EconomyRun, MarketFaultConfig, MigrationConfig, ShardExecMode,
-    ShardedEconomyRun,
-};
+use mbts::market::{Economy, EconomyConfig, EconomyRun, MarketFaultConfig, MigrationConfig};
 use mbts::sim::{FaultConfig, Time, UpDown};
 use mbts::site::{FaultPlan, Site, SiteConfig};
 use mbts::trace::Tracer;
@@ -404,10 +401,9 @@ fn dynamic_candidate_matches_from_scratch_rescore_bit_for_bit() {
 }
 
 // ---------------------------------------------------------------------------
-// Sharded-market equivalence: the conservative-PDES runner is an
-// optimization, not a behavior change. Whatever the shard count, the
-// execution mode, or where a run pauses for a snapshot, the final
-// `EconomySnapshot` must be byte-identical to the serial engine's.
+// Market snapshot equivalence: wherever a run pauses for a snapshot, the
+// final `EconomySnapshot` must be byte-identical to an uninterrupted
+// run's.
 // ---------------------------------------------------------------------------
 
 fn market_trace(tasks: usize, seed: u64) -> Trace {
@@ -453,65 +449,10 @@ fn serial_snapshot_json(cfg: &EconomyConfig, trace: &Trace) -> String {
     serde_json::to_string(&run.snapshot()).expect("serialize serial snapshot")
 }
 
-fn sharded_snapshot_json(
-    cfg: &EconomyConfig,
-    trace: &Trace,
-    shards: usize,
-    mode: ShardExecMode,
-) -> String {
-    let mut run = ShardedEconomyRun::new(cfg.clone(), trace, Tracer::Off, shards, mode);
-    while run.step() {}
-    serde_json::to_string(&run.snapshot()).expect("serialize sharded snapshot")
-}
-
-#[test]
-fn sharded_market_snapshots_match_serial_for_every_policy() {
-    for (label, policy) in all_policies() {
-        for seed in [71, 72, 73] {
-            let trace = market_trace(160, seed);
-            let cfg = market_cfg(8, policy);
-            let serial = serial_snapshot_json(&cfg, &trace);
-            for shards in [1, 2, 4, 8] {
-                let sharded = sharded_snapshot_json(&cfg, &trace, shards, ShardExecMode::Inline);
-                assert_eq!(
-                    serial, sharded,
-                    "final snapshot diverged: {label} seed {seed} shards {shards}"
-                );
-            }
-        }
-    }
-}
-
-#[test]
-fn threaded_sharded_market_matches_serial_outcome_and_snapshot() {
-    for (label, policy) in all_policies() {
-        let trace = market_trace(200, 74);
-        let cfg = market_cfg(8, policy);
-        let eco = Economy::new(cfg.clone());
-        let serial_outcome = eco.run_trace(&trace);
-        let serial_snap = serial_snapshot_json(&cfg, &trace);
-        for shards in [2, 8] {
-            let (outcome, _) =
-                eco.run_trace_sharded(&trace, Tracer::Off, shards, ShardExecMode::Threads);
-            assert_eq!(
-                serial_outcome, outcome,
-                "outcome diverged: {label} x{shards}"
-            );
-            assert!(
-                outcome.audit_violations.is_empty(),
-                "auditors flagged the sharded run: {label} x{shards}"
-            );
-            let snap = sharded_snapshot_json(&cfg, &trace, shards, ShardExecMode::Threads);
-            assert_eq!(serial_snap, snap, "snapshot diverged: {label} x{shards}");
-        }
-    }
-}
-
 // ---------------------------------------------------------------------------
 // Workflow equivalence: DAG workloads run through the market must be an
-// overlay, not a fork of the engine. Whatever the shard count, the fault
-// plan, or the provenance level, the final snapshot — workflow ledger
-// included — must match the serial engine byte for byte.
+// overlay, not a fork of the engine. Whatever the provenance level, the
+// outcome — workflow ledger included — must match byte for byte.
 // ---------------------------------------------------------------------------
 
 fn equivalence_wf_set(seed: u64) -> WorkflowSet {
@@ -529,10 +470,9 @@ fn equivalence_wf_set(seed: u64) -> WorkflowSet {
     )
 }
 
-/// A workflow economy, optionally hostile: successor-aware sites, the
-/// release/settle overlay installed, and (when `faulted`) processor and
-/// site crashes with migration and jittered orphan rebids.
-fn wf_market_cfg(sites: usize, policy: Policy, faulted: bool, set: &WorkflowSet) -> EconomyConfig {
+/// A workflow economy: successor-aware sites and the release/settle
+/// overlay installed.
+fn wf_market_cfg(sites: usize, policy: Policy, set: &WorkflowSet) -> EconomyConfig {
     let mut c = EconomyConfig::uniform(
         sites,
         SiteConfig::new(2)
@@ -541,48 +481,7 @@ fn wf_market_cfg(sites: usize, policy: Policy, faulted: bool, set: &WorkflowSet)
             .with_workflow_facets(set.facets()),
     );
     c.workflows = Some(set.clone());
-    if faulted {
-        c.migration = Some(MigrationConfig {
-            grace: 50.0,
-            max_attempts: 3,
-        });
-        let mut faults = MarketFaultConfig::new(
-            FaultConfig {
-                processor: Some(UpDown::exponential(2_500.0, 120.0)),
-                site: Some(UpDown::exponential(15_000.0, 500.0)),
-            },
-            5,
-        );
-        faults.orphan_backoff = 30.0;
-        faults.orphan_jitter = 0.25;
-        c.faults = Some(faults);
-    }
     c
-}
-
-#[test]
-fn workflow_sharded_market_matches_serial_for_every_policy() {
-    for (label, policy) in all_policies() {
-        for faulted in [false, true] {
-            let set = equivalence_wf_set(81);
-            let trace = set.trace();
-            let cfg = wf_market_cfg(8, policy, faulted, &set);
-            let serial = serial_snapshot_json(&cfg, &trace);
-            for shards in [1, 2, 4, 8] {
-                let sharded = sharded_snapshot_json(&cfg, &trace, shards, ShardExecMode::Inline);
-                assert_eq!(
-                    serial, sharded,
-                    "workflow snapshot diverged: {label} faulted={faulted} shards {shards}"
-                );
-            }
-            // The threaded executor takes the same path once windows open.
-            let threaded = sharded_snapshot_json(&cfg, &trace, 4, ShardExecMode::Threads);
-            assert_eq!(
-                serial, threaded,
-                "workflow snapshot diverged threaded: {label} faulted={faulted}"
-            );
-        }
-    }
 }
 
 #[test]
@@ -594,7 +493,7 @@ fn workflow_provenance_off_streams_are_byte_identical_to_default_streams() {
     for (label, policy) in all_policies() {
         let set = equivalence_wf_set(82);
         let trace = set.trace();
-        let cfg = wf_market_cfg(4, policy, false, &set);
+        let cfg = wf_market_cfg(4, policy, &set);
         let eco = Economy::new(cfg);
         let (plain_outcome, plain) = eco.run_trace_traced(&trace, Tracer::buffer());
         let (prov_outcome, prov) = eco.run_trace_traced(&trace, Tracer::buffer().with_provenance());
@@ -624,18 +523,13 @@ fn workflow_provenance_off_streams_are_byte_identical_to_default_streams() {
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(10))]
 
-    /// Any barrier-respecting interleaving converges to the serial
-    /// state: pause a sharded run at an arbitrary event boundary, then
-    /// finish it (a) in place, (b) resumed under a *different* shard
-    /// count, and (c) resumed in the serial engine. All three final
-    /// snapshots must be byte-identical to an uninterrupted serial run.
+    /// A run paused at an arbitrary event boundary converges to the
+    /// uninterrupted run's state whether it is finished (a) in place or
+    /// (b) resumed from its serialized mid-run snapshot.
     #[test]
-    fn barrier_respecting_interleavings_yield_byte_identical_snapshots(
+    fn mid_run_snapshots_resume_byte_identically(
         seed in 1u64..500,
         policy_idx in 0usize..7,
-        shards_a in 1usize..=8,
-        shards_b in 1usize..=8,
-        threaded in any::<bool>(),
         pause_after in 1u64..400,
     ) {
         let (_, policy) = all_policies()[policy_idx];
@@ -643,8 +537,7 @@ proptest! {
         let cfg = market_cfg(6, policy);
         let serial = serial_snapshot_json(&cfg, &trace);
 
-        let mode = if threaded { ShardExecMode::Threads } else { ShardExecMode::Inline };
-        let mut a = ShardedEconomyRun::new(cfg.clone(), &trace, Tracer::Off, shards_a, mode);
+        let mut a = EconomyRun::new(cfg.clone(), &trace, Tracer::Off);
         while !a.is_done() && a.events_handled() < pause_after {
             a.step();
         }
@@ -653,20 +546,11 @@ proptest! {
         let done_a = serde_json::to_string(&a.snapshot()).expect("serialize final snapshot");
         prop_assert_eq!(&done_a, &serial, "in-place continuation diverged");
 
-        let mut b = ShardedEconomyRun::from_snapshot(
-            serde_json::from_str(&mid).expect("mid-run snapshot round-trips"),
-            shards_b,
-            ShardExecMode::Inline,
-        );
-        while b.step() {}
-        let done_b = serde_json::to_string(&b.snapshot()).expect("serialize resumed snapshot");
-        prop_assert_eq!(&done_b, &serial, "re-sharded continuation diverged");
-
         let mut s = EconomyRun::from_snapshot(
             serde_json::from_str(&mid).expect("mid-run snapshot round-trips"),
         );
         while s.step() {}
-        let done_s = serde_json::to_string(&s.snapshot()).expect("serialize serial resume");
-        prop_assert_eq!(&done_s, &serial, "serial continuation diverged");
+        let done_s = serde_json::to_string(&s.snapshot()).expect("serialize resumed snapshot");
+        prop_assert_eq!(&done_s, &serial, "resumed continuation diverged");
     }
 }
