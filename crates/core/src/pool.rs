@@ -62,7 +62,7 @@ use crate::cost::{CostModel, DecaySum};
 use crate::heuristics::{Policy, ScoreCtx};
 use crate::job::Job;
 use crate::mergemap::MergeMap;
-use mbts_sim::profiler::{self, Section};
+use mbts_sim::metrics::{self, Series};
 use mbts_sim::{Duration, Time};
 use serde::{Deserialize, Serialize};
 use std::collections::{BinaryHeap, HashMap};
@@ -341,10 +341,10 @@ impl PendingPool {
         self.jobs.is_empty()
     }
 
-    /// Enqueues a job in `O(log n)`. Instrumented as the profiler's
-    /// `pool_insert` section (one relaxed load when profiling is off).
+    /// Enqueues a job in `O(log n)`. Timed into the `pool_insert`
+    /// profile series (one relaxed load when profiling is off).
     pub fn push(&mut self, job: Job) {
-        profiler::time(Section::PoolInsert, || self.push_impl(job))
+        metrics::time(Series::PoolInsert, || self.push_impl(job))
     }
 
     fn push_impl(&mut self, job: Job) {
@@ -426,12 +426,12 @@ impl PendingPool {
     /// Slot of the best job at `now`: maximum score, ties to the lowest
     /// task id — exactly what [`Policy::select`] over [`jobs`](Self::jobs)
     /// returns, at incremental cost. `None` when the pool is empty.
-    /// Instrumented as the profiler's `cost_model_update` section.
+    /// Timed into the `select` profile series.
     pub fn select_best(&mut self, now: Time) -> Option<usize> {
         if self.jobs.is_empty() {
             return None;
         }
-        profiler::time(Section::CostModelUpdate, || self.select_best_impl(now))
+        metrics::time(Series::Select, || self.select_best_impl(now))
     }
 
     fn select_best_impl(&mut self, now: Time) -> Option<usize> {
@@ -569,10 +569,10 @@ impl PendingPool {
 
     /// All scores at `now`, in slot order — the backfill scan's input.
     /// Bit-identical to scoring each job with [`Policy::score`] against
-    /// a fresh model. Instrumented as the profiler's `merge_sweep`
-    /// section.
+    /// a fresh model. Timed into the `merge_sweep`
+    /// profile series.
     pub fn scores(&mut self, now: Time) -> Vec<f64> {
-        profiler::time(Section::MergeSweep, || self.scores_impl(now))
+        metrics::time(Series::MergeSweep, || self.scores_impl(now))
     }
 
     fn scores_impl(&mut self, now: Time) -> Vec<f64> {

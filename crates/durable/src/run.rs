@@ -135,7 +135,7 @@ impl<R: Recoverable> DurableRun<R> {
 
     /// Serializes the current state into a snapshot record immediately.
     pub fn snapshot_now(&mut self) -> io::Result<()> {
-        mbts_sim::profiler::time(mbts_sim::profiler::Section::SnapshotWrite, || {
+        mbts_sim::metrics::time(mbts_sim::metrics::Series::SnapshotWrite, || {
             let json = serde_json::to_string(&self.run.snapshot())
                 .map_err(|e| io::Error::new(io::ErrorKind::InvalidData, e.to_string()))?;
             self.journal.append_snapshot(json.as_bytes())?;

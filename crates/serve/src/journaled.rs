@@ -17,9 +17,8 @@ use std::io;
 use std::path::Path;
 
 use mbts_durable::{recover_bytes, Journal, RecoverError};
-use mbts_sim::profiler::{self, Section};
+use mbts_sim::metrics::{self, Series};
 use mbts_sim::Time;
-use mbts_trace::telemetry as tel;
 use mbts_workload::TaskId;
 
 use crate::machine::{
@@ -191,14 +190,12 @@ impl ServiceRun {
         };
         let payload = serde_json::to_vec(&cmd).expect("service commands always serialize");
         // The durability half and the compute half of the apply path are
-        // timed separately (fsync stalls vs fold cost); both recorders
-        // only observe wall time, never feed into `at` or the payload.
-        tel::time(tel::Hist::JournalAppend, || {
-            profiler::time(Section::ServeJournalAppend, || {
-                self.journal.append_event(&payload)
-            })
+        // timed separately (fsync stalls vs fold cost); the registry only
+        // observes wall time, never feeds into `at` or the payload.
+        metrics::time(Series::ServeJournalAppend, || {
+            self.journal.append_event(&payload)
         })?;
-        let outcome = tel::time(tel::Hist::Apply, || self.machine.apply(&cmd));
+        let outcome = metrics::time(Series::ServeApply, || self.machine.apply(&cmd));
         self.since_snapshot += 1;
         if self.snapshot_every > 0 && self.since_snapshot >= self.snapshot_every {
             self.snapshot_now()?;
@@ -230,11 +227,14 @@ impl ServiceRun {
     }
 
     /// Folds a snapshot into the journal now and resets the cadence.
+    /// Capture, encode and append are timed together as the
+    /// `serve_snapshot` stall.
     pub fn snapshot_now(&mut self) -> io::Result<()> {
-        let payload =
-            serde_json::to_vec(&self.machine.snapshot()).expect("snapshots always serialize");
-        profiler::time(Section::SnapshotWrite, || {
-            self.journal.append_snapshot(&payload)
+        let (machine, journal) = (&self.machine, &mut self.journal);
+        metrics::time(Series::ServeSnapshot, || {
+            let payload =
+                serde_json::to_vec(&machine.snapshot()).expect("snapshots always serialize");
+            journal.append_snapshot(&payload)
         })?;
         self.since_snapshot = 0;
         Ok(())

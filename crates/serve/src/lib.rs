@@ -13,7 +13,7 @@
 //! Layering: `mbts-serve` sits above `mbts-site` (the state machine's
 //! substrate), `mbts-durable` (the journal), `mbts-trace` (provenance +
 //! the serve summary surfaced by `mbts metrics`), and `mbts-sim` (time,
-//! event queue, self-profiler sections).
+//! event queue, the metrics registry).
 //!
 //! Network paths never panic: every parse, validation, or serialization
 //! problem becomes a typed 4xx/5xx JSON reply, and the lint below keeps

@@ -5,7 +5,7 @@
 //!
 //! * **Acceptor**: polls a non-blocking listener, spawns one worker per
 //!   connection, exits on the stop flag.
-//! * **Workers**: parse requests ([`Section::ServeParse`]), validate, and
+//! * **Workers**: parse requests ([`Series::ServeParse`]), validate, and
 //!   push work onto the bounded queue. A full queue is answered
 //!   immediately with `429 Too Many Requests` plus a `Retry-After`
 //!   computed from queue slack × the EMA apply latency — explicit
@@ -14,7 +14,8 @@
 //! * **Core** (exactly one): drains the queue in batches, runs the
 //!   deadline-aware shed pass when depth crosses the threshold (expired
 //!   submissions first, then lowest Eq. 3 present value), and applies
-//!   each surviving command journal-first ([`Section::ServeApply`]).
+//!   each surviving command journal-first ([`Series::ServeJournalAppend`]
+//!   then [`Series::ServeApply`]).
 //!   Sheds are journaled [`CommandKind::Shed`] commands, so overload
 //!   decisions replay — and explain themselves — deterministically.
 //!
@@ -36,10 +37,9 @@ use std::time::{Duration as StdDuration, Instant};
 use mbts_chaos::{ChaosRegistry, FailAction, Firing};
 use mbts_core::Job;
 use mbts_durable::Journal;
-use mbts_sim::profiler::{self, Section};
+use mbts_sim::metrics::{self, elapsed_ns, Gauge, Outcome, Route, Scope, Series};
 use mbts_sim::Time;
 use mbts_site::SiteConfig;
-use mbts_trace::telemetry as tel;
 use mbts_trace::ServeSummary;
 use mbts_workload::{PenaltyBound, TaskId, TaskSpec};
 use serde::{Deserialize, Serialize};
@@ -283,7 +283,7 @@ struct Reply {
     /// their own (200 ack vs admission-rejected, 429 shed vs
     /// backpressure, 503 timeout vs draining). `None` derives from the
     /// status in [`outcome_of`].
-    outcome: Option<tel::Outcome>,
+    outcome: Option<Outcome>,
 }
 
 impl Reply {
@@ -324,7 +324,7 @@ impl Reply {
         self
     }
 
-    fn tagged(mut self, outcome: tel::Outcome) -> Reply {
+    fn tagged(mut self, outcome: Outcome) -> Reply {
         self.outcome = Some(outcome);
         self
     }
@@ -332,31 +332,31 @@ impl Reply {
 
 /// Telemetry outcome of a finished request: the explicit tag when the
 /// producer set one, else the status code's canonical meaning.
-fn outcome_of(reply: &Reply) -> tel::Outcome {
+fn outcome_of(reply: &Reply) -> Outcome {
     if let Some(o) = reply.outcome {
         return o;
     }
     match reply.status {
-        200..=299 => tel::Outcome::Ack,
-        400 => tel::Outcome::BadRequest,
-        404 => tel::Outcome::NotFound,
-        429 => tel::Outcome::Backpressure,
-        503 => tel::Outcome::Unavailable,
-        _ => tel::Outcome::Error,
+        200..=299 => Outcome::Ack,
+        400 => Outcome::BadRequest,
+        404 => Outcome::NotFound,
+        429 => Outcome::Backpressure,
+        503 => Outcome::Unavailable,
+        _ => Outcome::Error,
     }
 }
 
 /// Telemetry route label for a parsed request.
-fn route_of(req: &http::Request) -> tel::Route {
+fn route_of(req: &http::Request) -> Route {
     match (req.method.as_str(), req.target.as_str()) {
-        ("POST", "/submit") => tel::Route::Submit,
-        ("POST", "/cancel") => tel::Route::Cancel,
-        ("POST", "/drain") => tel::Route::Drain,
-        ("GET", "/stats") => tel::Route::Stats,
-        ("GET", "/metrics") => tel::Route::Metrics,
-        ("GET", "/healthz") | ("GET", "/readyz") => tel::Route::Health,
-        ("GET", t) if t.starts_with("/status/") => tel::Route::Status,
-        _ => tel::Route::Other,
+        ("POST", "/submit") => Route::Submit,
+        ("POST", "/cancel") => Route::Cancel,
+        ("POST", "/drain") => Route::Drain,
+        ("GET", "/stats") => Route::Stats,
+        ("GET", "/metrics") => Route::Metrics,
+        ("GET", "/healthz") | ("GET", "/readyz") => Route::Health,
+        ("GET", t) if t.starts_with("/status/") => Route::Status,
+        _ => Route::Other,
     }
 }
 
@@ -398,7 +398,7 @@ impl Shared {
     fn chaos_hit(&self, point: &str) -> Option<Firing> {
         let firing = self.chaos.as_ref().and_then(|c| c.hit(point));
         if firing.is_some() {
-            tel::gauge_add(tel::Gauge::ChaosFaultsInjected, 1);
+            metrics::gauge_add(Gauge::ChaosFaultsInjected, 1);
         }
         firing
     }
@@ -451,13 +451,10 @@ impl Server {
             }
         };
         // Startup facts for the first scrape, before any traffic.
-        tel::gauge_set(tel::Gauge::RecoveredReplayed, recovery.replayed);
-        tel::gauge_set(
-            tel::Gauge::RecoveredDroppedBytes,
-            recovery.dropped_bytes as u64,
-        );
-        tel::gauge_set(tel::Gauge::QueueCapacity, cfg.queue_capacity.max(1) as u64);
-        tel::gauge_set(tel::Gauge::QueueSlack, cfg.queue_capacity.max(1) as u64);
+        metrics::gauge_set(Gauge::RecoveredReplayed, recovery.replayed);
+        metrics::gauge_set(Gauge::RecoveredDroppedBytes, recovery.dropped_bytes as u64);
+        metrics::gauge_set(Gauge::QueueCapacity, cfg.queue_capacity.max(1) as u64);
+        metrics::gauge_set(Gauge::QueueSlack, cfg.queue_capacity.max(1) as u64);
 
         let listener = TcpListener::bind(&cfg.addr)?;
         listener.set_nonblocking(true)?;
@@ -593,11 +590,11 @@ fn handle_connection(stream: TcpStream, shared: Arc<Shared>) {
             }
         }
         let t0 = Instant::now();
-        let req = match profiler::time(Section::ServeParse, || http::read_request(&mut reader)) {
+        let req = match metrics::time(Series::ServeParse, || http::read_request(&mut reader)) {
             Ok(Some(r)) => r,
             Ok(None) => return,
             Err(e) => {
-                tel::count_request(tel::Route::Other, tel::Outcome::Malformed);
+                metrics::count_request(Route::Other, Outcome::Malformed);
                 let reply = Reply::error(400, &e.to_string());
                 let _ = send_reply(&mut writer, &reply);
                 let _ = writer.flush();
@@ -605,11 +602,8 @@ fn handle_connection(stream: TcpStream, shared: Arc<Shared>) {
             }
         };
         let reply = route(&req, &shared);
-        tel::count_request(route_of(&req), outcome_of(&reply));
-        tel::record_ns(
-            tel::Hist::Request,
-            u64::try_from(t0.elapsed().as_nanos()).unwrap_or(u64::MAX),
-        );
+        metrics::count_request(route_of(&req), outcome_of(&reply));
+        metrics::record(Series::ServeRequest, elapsed_ns(t0));
         if let Some(firing) = shared.chaos_hit(POINT_CONN_WRITE) {
             match firing.action {
                 FailAction::DropConn => return,
@@ -685,7 +679,7 @@ fn route(req: &http::Request, shared: &Arc<Shared>) -> Reply {
         // Rendered entirely from the atomic registry in this worker
         // thread: a scrape never touches the queue, the core thread, or
         // the journal, so it cannot block or perturb admission.
-        return Reply::text(200, tel::snapshot().render_prometheus().into_bytes());
+        return Reply::text(200, metrics::snapshot().render().into_bytes());
     }
     shared.requests.fetch_add(1, Ordering::Relaxed);
     if shared.stopping() {
@@ -753,7 +747,7 @@ fn dispatch(shared: &Arc<Shared>, work: Work) -> Reply {
             shared.timeouts.fetch_add(1, Ordering::Relaxed);
             Reply::error(503, "request timed out in the service core")
                 .with_retry_after(1)
-                .tagged(tel::Outcome::Timeout)
+                .tagged(Outcome::Timeout)
         }
     }
 }
@@ -868,7 +862,7 @@ fn core_loop(
 /// Publishes the core thread's view into the telemetry gauges with a
 /// fresh queue-depth reading (takes the queue lock briefly).
 fn publish_gauges(run: &ServiceRun, shared: &Shared, started: Instant) {
-    if !tel::is_enabled() {
+    if !Scope::Live.is_enabled() {
         return;
     }
     let depth = shared.queue.lock().unwrap_or_else(|e| e.into_inner()).len();
@@ -880,36 +874,36 @@ fn publish_gauges(run: &ServiceRun, shared: &Shared, started: Instant) {
 /// Only the core thread calls this, so gauges are a consistent view of
 /// the machine between batches.
 fn publish_gauges_at(run: &ServiceRun, shared: &Shared, started: Instant, depth: usize) {
-    if !tel::is_enabled() {
+    if !Scope::Live.is_enabled() {
         return;
     }
     let m = run.machine();
     let met = m.metrics();
     let site = m.site();
-    tel::gauge_set(tel::Gauge::QueueDepth, depth as u64);
-    tel::gauge_set(
-        tel::Gauge::QueueSlack,
+    metrics::gauge_set(Gauge::QueueDepth, depth as u64);
+    metrics::gauge_set(
+        Gauge::QueueSlack,
         shared.capacity.saturating_sub(depth) as u64,
     );
-    tel::gauge_set(tel::Gauge::Draining, u64::from(shared.stopping()));
-    tel::gauge_set(
-        tel::Gauge::ApplyEmaNs,
+    metrics::gauge_set(Gauge::Draining, u64::from(shared.stopping()));
+    metrics::gauge_set(
+        Gauge::ApplyEmaNs,
         shared.ema_apply_ns.load(Ordering::Relaxed),
     );
-    tel::gauge_set(tel::Gauge::Applied, m.applied());
-    tel::gauge_set(tel::Gauge::PendingTasks, site.pending_len() as u64);
-    tel::gauge_set(tel::Gauge::RunningTasks, site.running_len() as u64);
-    tel::gauge_set(tel::Gauge::FreeProcessors, site.free_processors() as u64);
-    tel::gauge_set(
-        tel::Gauge::OutstandingCompletions,
+    metrics::gauge_set(Gauge::Applied, m.applied());
+    metrics::gauge_set(Gauge::PendingTasks, site.pending_len() as u64);
+    metrics::gauge_set(Gauge::RunningTasks, site.running_len() as u64);
+    metrics::gauge_set(Gauge::FreeProcessors, site.free_processors() as u64);
+    metrics::gauge_set(
+        Gauge::OutstandingCompletions,
         m.outstanding_completions() as u64,
     );
-    tel::gauge_set_f64(tel::Gauge::TasksSubmitted, met.submitted as f64);
-    tel::gauge_set_f64(tel::Gauge::TasksStranded, met.stranded as f64);
-    tel::gauge_set_f64(tel::Gauge::TotalYield, met.total_yield);
-    tel::gauge_set_f64(tel::Gauge::TotalPenalty, met.total_penalty);
-    tel::gauge_set(tel::Gauge::Violations, m.violations() as u64);
-    tel::gauge_set_f64(tel::Gauge::UptimeSeconds, started.elapsed().as_secs_f64());
+    metrics::gauge_set_f64(Gauge::TasksSubmitted, met.submitted as f64);
+    metrics::gauge_set_f64(Gauge::TasksStranded, met.stranded as f64);
+    metrics::gauge_set_f64(Gauge::TotalYield, met.total_yield);
+    metrics::gauge_set_f64(Gauge::TotalPenalty, met.total_penalty);
+    metrics::gauge_set(Gauge::Violations, m.violations() as u64);
+    metrics::gauge_set_f64(Gauge::UptimeSeconds, started.elapsed().as_secs_f64());
 }
 
 /// Picks `excess` shed victims out of the queue: expired submissions
@@ -969,8 +963,8 @@ fn shed_one(
     // Walked-away value: the victim's Eq. 3 present value at shed time.
     // Accumulated in telemetry only — never in machine state, so shed
     // accounting cannot change snapshot bytes.
-    let pv = Job::new(spec.clone()).present_value(now, discount_rate);
-    tel::gauge_add_f64(tel::Gauge::ShedPvLost, pv.max(0.0));
+    let pv = Job::new(spec).present_value(now, discount_rate);
+    metrics::gauge_add_f64(Gauge::ShedPvLost, pv.max(0.0));
     let (_, outcome) = run.apply(
         now,
         CommandKind::Shed {
@@ -997,7 +991,7 @@ fn shed_one(
         },
     )
     .with_retry_after(secs)
-    .tagged(tel::Outcome::Shed);
+    .tagged(Outcome::Shed);
     let _ = victim.reply.send(reply);
     Ok(())
 }
@@ -1023,22 +1017,16 @@ struct CancelView {
 }
 
 fn handle_one(run: &mut ServiceRun, shared: &Arc<Shared>, pending: Pending) -> io::Result<()> {
-    if profiler::is_enabled() || tel::is_enabled() {
-        let waited = u64::try_from(pending.enqueued.elapsed().as_nanos()).unwrap_or(u64::MAX);
-        if profiler::is_enabled() {
-            profiler::record_ns(Section::ServeQueueWait, waited);
-        }
-        tel::record_ns(tel::Hist::QueueWait, waited);
+    if Scope::Live.is_enabled() {
+        metrics::record(Series::ServeQueueWait, elapsed_ns(pending.enqueued));
     }
     let now = shared.clock.now();
     let reply = match &pending.work {
         Work::Submit(body) => {
             let spec = body.to_spec(pending.arrival);
             let t0 = Instant::now();
-            let (_, outcome) = profiler::time(Section::ServeApply, || {
-                run.apply(now, CommandKind::Submit { spec })
-            })?;
-            shared.note_apply_ns(u64::try_from(t0.elapsed().as_nanos()).unwrap_or(u64::MAX));
+            let (_, outcome) = run.apply(now, CommandKind::Submit { spec })?;
+            shared.note_apply_ns(elapsed_ns(t0));
             let ApplyOutcome::Submitted { task, accepted } = outcome else {
                 unreachable!("submit commands produce submit outcomes");
             };
@@ -1051,20 +1039,18 @@ fn handle_one(run: &mut ServiceRun, shared: &Arc<Shared>, pending: Pending) -> i
                 },
             )
             .tagged(if accepted {
-                tel::Outcome::Ack
+                Outcome::Ack
             } else {
-                tel::Outcome::Rejected
+                Outcome::Rejected
             })
         }
         Work::Cancel(task) => {
-            let (_, outcome) = profiler::time(Section::ServeApply, || {
-                run.apply(
-                    now,
-                    CommandKind::Cancel {
-                        task: TaskId(*task),
-                    },
-                )
-            })?;
+            let (_, outcome) = run.apply(
+                now,
+                CommandKind::Cancel {
+                    task: TaskId(*task),
+                },
+            )?;
             let ApplyOutcome::Cancelled { task, found } = outcome else {
                 unreachable!("cancel commands produce cancel outcomes");
             };

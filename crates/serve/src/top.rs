@@ -2,24 +2,25 @@
 //! `GET /metrics`.
 //!
 //! Each tick scrapes the Prometheus exposition, diffs it against the
-//! previous scrape to rate-convert the monotone counters, pulls
-//! p50/p95/p99 out of the cumulative latency histograms, and renders a
-//! compact frame with a queue-depth sparkline across recent ticks. The
+//! previous scrape to rate-convert the monotone counters, rebuilds the
+//! latency histograms from their cumulative buckets for p50/p95/p99/max,
+//! and renders a compact frame with a queue-depth sparkline across
+//! recent ticks. The
 //! dashboard is a pure consumer: it holds no connection between polls
 //! and asks the daemon for nothing but the scrape every worker thread
 //! already serves without touching the core.
 //!
-//! The parser handles exactly what [`TelemetrySnapshot::render_prometheus`]
-//! emits (and any exposition of the same `name{labels} value` shape);
+//! The parser handles exactly what `mbts_sim::metrics::Exposition`
+//! writes (and any exposition of the same `name{labels} value` shape);
 //! unknown series are carried through untouched so the dashboard keeps
 //! working as metrics are added.
-//!
-//! [`TelemetrySnapshot::render_prometheus`]: mbts_trace::telemetry::TelemetrySnapshot::render_prometheus
 
 use std::collections::BTreeMap;
 use std::io::{self, BufReader, Write};
 use std::net::TcpStream;
 use std::time::{Duration, Instant};
+
+use mbts_sim::metrics::{bucket_of_upper_edge, lower_edge, upper_edge, LatencyHistogram};
 
 use crate::http;
 
@@ -145,32 +146,38 @@ fn split_label_pairs(body: &str) -> Vec<&str> {
     out
 }
 
-/// Quantile from a cumulative Prometheus histogram's `_bucket` samples
-/// (upper edge of the bucket containing the q-th observation), in the
-/// unit of the `le` label. `None` with no observations.
-pub fn histogram_quantile(scrape: &Scrape, hist: &str, q: f64) -> Option<f64> {
-    let bucket_name = format!("{hist}_bucket");
-    let mut edges: Vec<(f64, f64)> = Vec::new(); // (le, cumulative)
-    let mut total = 0.0f64;
-    for s in scrape.series(&bucket_name) {
-        let le = s.label("le")?;
-        if le == "+Inf" {
-            total = total.max(s.value);
-        } else {
-            edges.push((le.parse().ok()?, s.value));
+/// Rebuilds a latency histogram (nanoseconds) from its rendered
+/// seconds-valued family: each cumulative `_bucket` is mapped back
+/// through the shared geometry's `le` edges, and `_min`/`_max` restore
+/// the clamp (absent, the occupied bucket range stands in). `None`
+/// with no observations or an `le` that is no bucket edge.
+pub fn histogram(scrape: &Scrape, name: &str) -> Option<LatencyHistogram> {
+    let mut edges: Vec<(f64, f64)> = Vec::new(); // (le ns, cumulative)
+    for s in scrape.series(&format!("{name}_bucket")) {
+        match s.label("le")? {
+            "+Inf" => {}
+            le => edges.push((le.parse::<f64>().ok()? * 1e9, s.value)),
         }
-    }
-    if total <= 0.0 {
-        return None;
     }
     edges.sort_by(|a, b| a.0.total_cmp(&b.0));
-    let target = (q.clamp(0.0, 1.0) * total).ceil().max(1.0);
-    for (le, cum) in &edges {
-        if *cum >= target {
-            return Some(*le);
-        }
+    let mut h = LatencyHistogram::default();
+    let mut prev = 0.0;
+    for (le, cumulative) in edges {
+        h.buckets[bucket_of_upper_edge(le)?] += (cumulative - prev).max(0.0) as u64;
+        prev = cumulative;
     }
-    edges.last().map(|(le, _)| *le)
+    h.count = h.buckets.iter().sum();
+    let first = h.buckets.iter().position(|&n| n > 0)?;
+    let last = h.buckets.iter().rposition(|&n| n > 0)?;
+    let ns = |suffix: &str| {
+        scrape
+            .value(&format!("{name}_{suffix}"))
+            .map(|s| (s * 1e9).round() as u64)
+    };
+    h.sum = ns("sum").unwrap_or(0);
+    h.min = ns("min").unwrap_or(lower_edge(first));
+    h.max = ns("max").unwrap_or(upper_edge(last) as u64 - 1);
+    Some(h)
 }
 
 /// Rate-converted counter deltas between two scrapes.
@@ -251,24 +258,24 @@ pub fn render_frame(
 
     out.push_str("latency   ");
     let mut first = true;
-    for (label, hist) in [
+    for (label, name) in [
         ("req", "serve_request_duration_seconds"),
         ("queue", "serve_queue_wait_duration_seconds"),
         ("journal", "serve_journal_append_duration_seconds"),
         ("apply", "serve_apply_duration_seconds"),
+        ("snapshot", "serve_snapshot_duration_seconds"),
     ] {
-        let p50 = histogram_quantile(cur, hist, 0.50);
-        let p95 = histogram_quantile(cur, hist, 0.95);
-        let p99 = histogram_quantile(cur, hist, 0.99);
-        if let (Some(p50), Some(p95), Some(p99)) = (p50, p95, p99) {
+        if let Some(h) = histogram(cur, name) {
             if !first {
                 out.push_str("\n          ");
             }
+            let secs = |q: f64| fmt_secs(h.quantile(q) as f64 / 1e9);
             out.push_str(&format!(
-                "{label:<8} p50 ≤{:>9} p95 ≤{:>9} p99 ≤{:>9}",
-                fmt_secs(p50),
-                fmt_secs(p95),
-                fmt_secs(p99)
+                "{label:<8} p50 {:>9} p95 {:>9} p99 {:>9} max {:>9}",
+                secs(0.50),
+                secs(0.95),
+                secs(0.99),
+                fmt_secs(h.max as f64 / 1e9)
             ));
             first = false;
         }
@@ -429,15 +436,32 @@ serve_uptime_seconds 42
     }
 
     #[test]
-    fn quantiles_read_cumulative_buckets() {
+    fn histograms_rebuild_from_cumulative_buckets() {
         let scrape = parse_exposition(CANNED);
-        let p50 = histogram_quantile(&scrape, "serve_request_duration_seconds", 0.50).unwrap();
-        assert_eq!(p50, 1.024e-6); // 500th of 1000 is in the first bucket
-        let p95 = histogram_quantile(&scrape, "serve_request_duration_seconds", 0.95).unwrap();
-        assert_eq!(p95, 2.048e-6);
-        let p99 = histogram_quantile(&scrape, "serve_request_duration_seconds", 0.99).unwrap();
-        assert_eq!(p99, 1.6777216e-2);
-        assert!(histogram_quantile(&scrape, "no_such_histogram", 0.5).is_none());
+        let h = histogram(&scrape, "serve_request_duration_seconds").unwrap();
+        assert_eq!(h.count, 1000);
+        // Power-of-two edges are geometry edges: 600 in [960, 1024) ns,
+        // 350 in [1920, 2048) ns, 50 in [15.7, 16.8) ms.
+        assert!((960..1024).contains(&h.quantile(0.50)));
+        assert!((1920..2048).contains(&h.quantile(0.95)));
+        assert!((15_728_640..16_777_216).contains(&h.quantile(0.99)));
+        assert!(histogram(&scrape, "no_such_histogram").is_none());
+    }
+
+    #[test]
+    fn rendered_registry_round_trips_through_the_parser() {
+        use mbts_sim::metrics::{Exposition, LatencyHistogram};
+        let mut h = LatencyHistogram::default();
+        for ns in [3, 900, 1_024, 5_000, 5_100, 77_777, 1_000_000, 29_339_365] {
+            h.record(ns);
+        }
+        let mut exp = Exposition::new();
+        exp.histogram("x_duration_seconds", "test", &h);
+        let back = histogram(&parse_exposition(&exp.finish()), "x_duration_seconds").unwrap();
+        assert_eq!(back, h);
+        for q in [0.0, 0.25, 0.5, 0.9, 0.95, 0.99, 1.0] {
+            assert_eq!(back.quantile(q), h.quantile(q), "q={q}");
+        }
     }
 
     #[test]

@@ -13,7 +13,9 @@
 //! * [`fault`] — seeded MTTF/MTTR crash-and-repair timelines for
 //!   fault-injection experiments,
 //! * [`stats`] — online summary statistics, histograms, and confidence
-//!   intervals for multi-seed replication.
+//!   intervals for multi-seed replication,
+//! * [`metrics`] — the process-global latency/counter/gauge registry and
+//!   its Prometheus exposition writer.
 //!
 //! Everything is seeded and replayable: two runs with the same seed produce
 //! bit-identical event orderings.
@@ -43,7 +45,7 @@ pub mod dist;
 pub mod engine;
 pub mod event;
 pub mod fault;
-pub mod profiler;
+pub mod metrics;
 pub mod rng;
 pub mod stats;
 pub mod time;

@@ -1,67 +1,7 @@
-//! Structured audit log.
-//!
-//! With [`SiteConfig::with_audit`](crate::SiteConfig::with_audit) enabled
-//! the site records one [`AuditEvent`] per state transition — submission,
-//! start, preemption, completion, drop, cancellation, capacity change.
-//! The log is serializable (one JSON object per line via
-//! [`to_jsonl`]) and is what an operator would ship to their log pipeline
-//! to audit contract compliance after the fact.
+//! Conservation-audit failures.
 
 use mbts_sim::Time;
-use mbts_workload::TaskId;
 use serde::{Deserialize, Serialize};
-
-/// What happened.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
-pub enum AuditKind {
-    /// A task was offered to the site.
-    Submitted {
-        /// Whether admission control accepted it.
-        accepted: bool,
-    },
-    /// A task started (or resumed) on a gang of processors.
-    Started {
-        /// Gang width.
-        width: usize,
-    },
-    /// A running task was preempted back into the queue.
-    Preempted,
-    /// A running task was evicted back into the queue by a crash
-    /// (progress lost per [`crate::config::LostWorkPolicy`]).
-    Evicted,
-    /// A queued task was returned to the market un-run because the site
-    /// died under it.
-    Orphaned,
-    /// A task ran to completion.
-    Completed {
-        /// Yield earned (Eq. 1).
-        earned: f64,
-    },
-    /// An expired task was shed from the queue.
-    Dropped,
-    /// A queued task was withdrawn by the market layer.
-    Cancelled,
-    /// Capacity grew by `n` processors.
-    Grew {
-        /// Processors added.
-        n: usize,
-    },
-    /// Capacity shrank by `n` processors (immediately retired).
-    Shrank {
-        /// Processors retired.
-        n: usize,
-    },
-    /// A fault killed `n` processors.
-    Crashed {
-        /// Processors lost.
-        n: usize,
-    },
-    /// A repair restored `n` processors.
-    Repaired {
-        /// Processors restored.
-        n: usize,
-    },
-}
 
 /// One failed conservation check from the always-on auditor.
 ///
@@ -81,122 +21,4 @@ pub struct AuditViolation {
     pub rule: String,
     /// Human-readable account of the imbalance.
     pub detail: String,
-}
-
-/// One audit record.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
-pub struct AuditEvent {
-    /// When it happened.
-    pub at: Time,
-    /// The task involved (`None` for capacity events).
-    pub task: Option<TaskId>,
-    /// What happened.
-    pub kind: AuditKind,
-}
-
-/// Serializes an audit log as JSON Lines (one event per line).
-pub fn to_jsonl(events: &[AuditEvent]) -> String {
-    let mut out = String::new();
-    for e in events {
-        out.push_str(&serde_json::to_string(e).expect("audit serialization cannot fail"));
-        out.push('\n');
-    }
-    out
-}
-
-/// Parses a JSON Lines audit log.
-pub fn from_jsonl(text: &str) -> Result<Vec<AuditEvent>, serde_json::Error> {
-    text.lines()
-        .filter(|l| !l.trim().is_empty())
-        .map(serde_json::from_str)
-        .collect()
-}
-
-#[cfg(test)]
-mod tests {
-    use super::*;
-    use crate::{Site, SiteConfig};
-    use mbts_core::Policy;
-    use mbts_workload::{generate_trace, MixConfig};
-
-    #[test]
-    fn jsonl_roundtrip() {
-        let events = vec![
-            AuditEvent {
-                at: Time::from(1.0),
-                task: Some(TaskId(3)),
-                kind: AuditKind::Submitted { accepted: true },
-            },
-            AuditEvent {
-                at: Time::from(2.0),
-                task: None,
-                kind: AuditKind::Grew { n: 4 },
-            },
-        ];
-        let text = to_jsonl(&events);
-        assert_eq!(text.lines().count(), 2);
-        assert_eq!(from_jsonl(&text).unwrap(), events);
-        assert!(from_jsonl("not json").is_err());
-    }
-
-    #[test]
-    fn site_records_a_consistent_audit_trail() {
-        let mix = MixConfig::millennium_default()
-            .with_tasks(120)
-            .with_processors(4)
-            .with_load_factor(2.0);
-        let trace = generate_trace(&mix, 31);
-        let outcome = Site::new(
-            SiteConfig::new(4)
-                .with_policy(Policy::FirstPrice)
-                .with_preemption(true)
-                .with_audit(true),
-        )
-        .run_trace(&trace);
-        let audit = &outcome.audit;
-        assert!(!audit.is_empty());
-        // Timestamps never go backwards.
-        assert!(audit.windows(2).all(|w| w[0].at <= w[1].at));
-        // Counts line up with the metrics.
-        let count =
-            |pred: &dyn Fn(&AuditKind) -> bool| audit.iter().filter(|e| pred(&e.kind)).count();
-        assert_eq!(
-            count(&|k| matches!(k, AuditKind::Submitted { .. })),
-            outcome.metrics.submitted
-        );
-        assert_eq!(
-            count(&|k| matches!(k, AuditKind::Completed { .. })),
-            outcome.metrics.completed
-        );
-        assert_eq!(
-            count(&|k| matches!(k, AuditKind::Preempted)) as u64,
-            outcome.metrics.preemptions
-        );
-        // Every task starts exactly (1 + its preemption count) times.
-        let starts = count(&|k| matches!(k, AuditKind::Started { .. })) as u64;
-        assert_eq!(
-            starts,
-            outcome.metrics.completed as u64 + outcome.metrics.preemptions
-        );
-        // Earned amounts in the audit sum to the total yield.
-        let earned: f64 = audit
-            .iter()
-            .filter_map(|e| match e.kind {
-                AuditKind::Completed { earned } => Some(earned),
-                _ => None,
-            })
-            .sum();
-        assert!((earned - outcome.metrics.total_yield).abs() < 1e-6);
-    }
-
-    #[test]
-    fn audit_off_by_default() {
-        let mix = MixConfig::millennium_default()
-            .with_tasks(40)
-            .with_processors(4);
-        let trace = generate_trace(&mix, 32);
-        let outcome =
-            Site::new(SiteConfig::new(4).with_policy(Policy::FirstPrice)).run_trace(&trace);
-        assert!(outcome.audit.is_empty());
-    }
 }

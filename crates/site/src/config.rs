@@ -78,10 +78,6 @@ pub struct SiteConfig {
     /// widths` comparison).
     #[serde(default = "default_true")]
     pub backfilling: bool,
-    /// If `true`, the site records a structured [`crate::audit`] event
-    /// log. Off by default.
-    #[serde(default)]
-    pub audit: bool,
     /// If `true`, the site records per-task execution segments for Gantt
     /// rendering (see [`crate::gantt`]). Off by default: experiment runs
     /// don't pay the allocation.
@@ -124,7 +120,6 @@ impl SiteConfig {
             schedule_mode: ScheduleMode::Static,
             admission_discount_rate: 0.01,
             backfilling: true,
-            audit: false,
             record_segments: false,
             drop_expired: false,
             incremental: true,
@@ -172,12 +167,6 @@ impl SiteConfig {
     pub fn with_admission_discount_rate(mut self, rate: f64) -> Self {
         assert!(rate >= 0.0, "discount rate must be non-negative");
         self.admission_discount_rate = rate;
-        self
-    }
-
-    /// Enables or disables audit-event recording.
-    pub fn with_audit(mut self, on: bool) -> Self {
-        self.audit = on;
         self
     }
 

@@ -48,7 +48,7 @@ pub mod metrics;
 pub mod state;
 
 pub use analysis::{class_breakdown, ClassReport};
-pub use audit::{AuditEvent, AuditKind, AuditViolation};
+pub use audit::AuditViolation;
 pub use config::{LostWorkPolicy, PreemptionMode, SiteConfig};
 pub use gantt::{render_gantt, Segment};
 pub use metrics::{Disposition, JobOutcome, SiteMetrics};
@@ -77,9 +77,6 @@ pub struct SiteOutcome {
     /// Execution segments (empty unless
     /// [`SiteConfig::with_record_segments`] was enabled), sorted by start.
     pub segments: Vec<Segment>,
-    /// Structured audit trail (empty unless [`SiteConfig::with_audit`]
-    /// was enabled), in event order.
-    pub audit: Vec<AuditEvent>,
     /// Conservation-audit failures recorded by the always-on auditor
     /// (release builds record; debug builds panic at the first failure,
     /// so this is always empty there). An honest run has none.
@@ -706,7 +703,6 @@ mod tests {
             metrics: SiteMetrics::default(),
             outcomes: vec![],
             segments: vec![],
-            audit: vec![],
             violations: vec![],
         };
         assert!(outcome.delay_percentile(0.5).is_nan());

@@ -15,7 +15,7 @@
 //! they fit the free processors *and* their expected completion does not
 //! push past the reservation.
 
-use crate::audit::{AuditEvent, AuditKind, AuditViolation};
+use crate::audit::AuditViolation;
 use crate::config::{LostWorkPolicy, PreemptionMode, SiteConfig};
 use crate::gantt::Segment;
 use crate::metrics::{Disposition, JobOutcome, SiteMetrics};
@@ -93,7 +93,6 @@ pub struct SiteState {
     metrics: SiteMetrics,
     outcomes: Vec<JobOutcome>,
     segments: Vec<Segment>,
-    audit: Vec<AuditEvent>,
     /// Yield as re-derived from the per-job outcome records, accumulated
     /// in push order — the conservation auditor cross-checks it against
     /// `metrics.total_yield` after every event.
@@ -124,7 +123,6 @@ impl SiteState {
             metrics: SiteMetrics::default(),
             outcomes: Vec::new(),
             segments: Vec::new(),
-            audit: Vec::new(),
             earned_recorded: 0.0,
             violations: Vec::new(),
             tracer: Tracer::Off,
@@ -174,13 +172,6 @@ impl SiteState {
                 site,
                 kind,
             });
-        }
-    }
-
-    #[inline]
-    fn note_audit(&mut self, at: Time, task: Option<mbts_workload::TaskId>, kind: AuditKind) {
-        if self.config.audit {
-            self.audit.push(AuditEvent { at, task, kind });
         }
     }
 
@@ -320,9 +311,6 @@ impl SiteState {
     pub fn grow(&mut self, extra: usize, now: Time) -> Vec<CompletionToken> {
         self.capacity += extra;
         self.free_procs += extra;
-        if extra > 0 {
-            self.note_audit(now, None, AuditKind::Grew { n: extra });
-        }
         let tokens = self.dispatch(now);
         self.audit_check(now);
         tokens
@@ -332,15 +320,6 @@ impl SiteState {
     /// rest are marked as debt and leave as running gangs complete.
     /// Capacity never drops below 1. Returns how many were retired
     /// immediately.
-    /// See [`grow`](Self::grow); the immediate retirements are audited.
-    pub fn shrink_audited(&mut self, by: usize, now: Time) -> usize {
-        let immediate = self.shrink(by);
-        if immediate > 0 {
-            self.note_audit(now, None, AuditKind::Shrank { n: immediate });
-        }
-        immediate
-    }
-
     pub fn shrink(&mut self, by: usize) -> usize {
         // Outstanding debt already commits capacity; never promise below
         // one processor in total.
@@ -514,11 +493,6 @@ impl SiteState {
             let ev = self.admission_decision_event(now, spec, decision.as_ref(), accept);
             self.tracer.emit(ev);
         }
-        self.note_audit(
-            now,
-            Some(spec.id),
-            AuditKind::Submitted { accepted: accept },
-        );
         self.trace(
             now,
             Some(spec.id),
@@ -582,7 +556,6 @@ impl SiteState {
         };
         let job = self.pending.swap_remove(idx);
         self.metrics.cancelled += 1;
-        self.note_audit(now, Some(job.id()), AuditKind::Cancelled);
         self.trace(now, Some(job.id()), TraceKind::Cancelled);
         self.outcomes.push(JobOutcome {
             id: job.id(),
@@ -641,7 +614,6 @@ impl SiteState {
         self.metrics.completed += 1;
         self.metrics.note_finish(now, earned);
         self.metrics.delay.push(delay.as_f64());
-        self.note_audit(now, Some(job.id()), AuditKind::Completed { earned });
         self.trace(
             now,
             Some(job.id()),
@@ -677,7 +649,6 @@ impl SiteState {
             metrics: self.metrics,
             outcomes: self.outcomes,
             segments,
-            audit: self.audit,
             violations: self.violations,
         }
     }
@@ -1059,7 +1030,6 @@ impl SiteState {
         self.epoch_counter += 1;
         let epoch = self.epoch_counter;
         let at = now + job.true_rpt;
-        self.note_audit(now, Some(job.id()), AuditKind::Started { width });
         self.running.push(Running {
             job,
             started: now,
@@ -1079,7 +1049,6 @@ impl SiteState {
             if expired {
                 let job = self.pending.swap_remove(i);
                 let floor = job.spec.bound.floor();
-                self.note_audit(now, Some(job.id()), AuditKind::Dropped);
                 self.trace(now, Some(job.id()), TraceKind::Dropped { earned: floor });
                 self.metrics.dropped += 1;
                 self.metrics.note_finish(now, floor);
@@ -1198,7 +1167,6 @@ impl SiteState {
                 }
                 job.preemptions += 1;
                 self.metrics.preemptions += 1;
-                self.note_audit(now, Some(job.id()), AuditKind::Preempted);
                 let (id, width) = (job.id(), job.spec.width);
                 self.trace(now, Some(id), TraceKind::Preempted { width });
                 self.pending.push(job);
@@ -1225,7 +1193,6 @@ impl SiteState {
         if dead == 0 {
             return 0;
         }
-        self.note_audit(now, None, AuditKind::Crashed { n: dead });
         self.trace(now, None, TraceKind::Crashed { procs: dead });
         self.metrics.crashed_procs += dead as u64;
         let idle = dead.min(self.free_procs);
@@ -1278,7 +1245,6 @@ impl SiteState {
             job.preemptions += 1;
             self.metrics.preemptions += 1;
             self.metrics.evictions += 1;
-            self.note_audit(now, Some(job.id()), AuditKind::Evicted);
             let id = job.id();
             self.trace(now, Some(id), TraceKind::Requeued { width });
             self.pending.push(job);
@@ -1299,7 +1265,6 @@ impl SiteState {
         if n == 0 {
             return Vec::new();
         }
-        self.note_audit(now, None, AuditKind::Repaired { n });
         self.trace(now, None, TraceKind::Repaired { procs: n });
         self.metrics.repaired_procs += n as u64;
         self.capacity += n;
@@ -1318,7 +1283,6 @@ impl SiteState {
         let jobs = self.pending.drain_all();
         for job in &jobs {
             self.metrics.orphaned += 1;
-            self.note_audit(now, Some(job.id()), AuditKind::Orphaned);
             self.trace(now, Some(job.id()), TraceKind::Orphaned);
             self.outcomes.push(JobOutcome {
                 id: job.id(),
@@ -1360,7 +1324,6 @@ impl SiteState {
             metrics: self.metrics.clone(),
             outcomes: self.outcomes.clone(),
             segments: self.segments.clone(),
-            audit: self.audit.clone(),
             earned_recorded: self.earned_recorded,
             violations: self.violations.clone(),
             tracer: self.tracer.snapshot(),
@@ -1393,7 +1356,6 @@ impl SiteState {
             metrics: snap.metrics,
             outcomes: snap.outcomes,
             segments: snap.segments,
-            audit: snap.audit,
             earned_recorded: snap.earned_recorded,
             violations: snap.violations,
             tracer: Tracer::from_snapshot(snap.tracer),
@@ -1428,8 +1390,6 @@ pub struct SiteSnapshot {
     pub outcomes: Vec<JobOutcome>,
     /// Execution segments recorded so far.
     pub segments: Vec<Segment>,
-    /// Audit events recorded so far.
-    pub audit: Vec<AuditEvent>,
     /// Yield re-derived from outcome records (conservation cross-check).
     pub earned_recorded: f64,
     /// Conservation-audit failures recorded so far.
@@ -2103,23 +2063,6 @@ mod fault_tests {
             2
         );
         assert!(out.violations.is_empty());
-    }
-
-    #[test]
-    fn audit_trail_counts_crash_events() {
-        let mut site = SiteState::new(SiteConfig::new(2).with_audit(true));
-        let (_, t) = site.submit(Time::ZERO, spec(0, 0.0, 10.0, 100.0));
-        site.crash(2, Time::from(1.0));
-        site.repair(2, Time::from(2.0));
-        let audit = site.clone().into_outcome().audit;
-        assert!(audit
-            .iter()
-            .any(|e| matches!(e.kind, AuditKind::Crashed { n: 2 })));
-        assert!(audit
-            .iter()
-            .any(|e| matches!(e.kind, AuditKind::Repaired { n: 2 })));
-        assert!(audit.iter().any(|e| matches!(e.kind, AuditKind::Evicted)));
-        drop(t);
     }
 }
 

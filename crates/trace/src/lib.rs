@@ -25,14 +25,12 @@
 //! - [`analyze`] — post-hoc trace analytics (yield attribution,
 //!   preemption-chain trees, admission regret, utilization timelines),
 //!   the engine behind `mbts analyze`;
-//! - [`profiler`] — the reporting half of the hot-path self-profiler
-//!   (instrumentation lives in `mbts_sim::profiler`), rendering HDR-style
-//!   log-bucketed latency histograms as text or Prometheus exposition.
+//! - [`profile`] — saved captures of the `mbts_sim::metrics` registry
+//!   (`--profile FILE`), rendered as text or Prometheus exposition.
 //!
-//! The *live* counterpart is [`telemetry`]: a process-global sharded
-//! atomic registry (request counters, gauges, latency histograms) the
-//! serve daemon records into on its hot path and snapshots for
-//! `GET /metrics` — always-on, observation-only, scrape-anytime.
+//! The registry itself — latency series, request counters, gauges, and
+//! the one exposition writer — lives in `mbts_sim::metrics`;
+//! [`telemetry`] is its live-scope switch under the serve path's name.
 //!
 //! Provenance: wrapping any tracer with [`Tracer::with_provenance`] makes
 //! decision points additionally emit [`TraceKind::DecisionRecord`] events
@@ -44,16 +42,15 @@
 pub mod analyze;
 pub mod event;
 pub mod metrics;
-pub mod profiler;
+pub mod profile;
 pub mod sink;
-pub mod telemetry;
 
 pub use analyze::{AnalyzeOptions, StrandingChain, TraceReport, WorkflowLedger};
 pub use event::{
     from_jsonl, to_jsonl, DecisionCandidate, DecisionKind, TraceEvent, TraceKind,
     MAX_DECISION_CANDIDATES,
 };
+pub use mbts_sim::metrics::live as telemetry;
 pub use metrics::{MetricsRegistry, PolicyMetrics};
-pub use profiler::{ProfileReport, SectionProfile, ServeSummary, PROFILE_MARKER};
+pub use profile::{ProfileReport, ServeSummary, PROFILE_MARKER};
 pub use sink::{BufferSink, JsonlSink, RingSink, TraceSink, Tracer, TracerSnapshot};
-pub use telemetry::{TelemetrySnapshot, TELEMETRY_BUCKETS};

@@ -29,8 +29,8 @@
 //! `run`/`market` accept `--trace-out FILE` to capture the structured
 //! event stream as JSON Lines, `--provenance` to additionally record a
 //! ranked, score-decomposed candidate set at every dispatch, preemption,
-//! admission and bid-selection decision, and `--profile FILE` to enable
-//! the hot-path self-profiler and save its latency histograms. `mbts
+//! admission and bid-selection decision, and `--profile FILE` to arm the
+//! metrics registry's profile scope and save its latency histograms. `mbts
 //! analyze` post-processes any of those outputs (plus durable journals)
 //! into yield-attribution, preemption-chain, admission-regret and
 //! utilization reports.
@@ -101,15 +101,13 @@ pub enum Command {
         gantt: bool,
         /// Print the per-value-class breakdown.
         classes: bool,
-        /// Write the structured audit log (JSON Lines) to this path.
-        audit: Option<PathBuf>,
         /// Journal snapshots + events to this path (crash-recoverable).
         journal: Option<PathBuf>,
         /// Write the trace-event stream (JSON Lines) to this path.
         trace_out: Option<PathBuf>,
         /// Emit decision-provenance records into the trace stream.
         provenance: bool,
-        /// Enable the hot-path self-profiler and write its report
+        /// Arm the registry's profile scope and write its capture
         /// (JSON) to this path.
         profile: Option<PathBuf>,
     },
@@ -128,14 +126,14 @@ pub enum Command {
         trace_out: Option<PathBuf>,
         /// Emit decision-provenance records into the trace stream.
         provenance: bool,
-        /// Enable the hot-path self-profiler and write its report
+        /// Arm the registry's profile scope and write its capture
         /// (JSON) to this path.
         profile: Option<PathBuf>,
     },
-    /// Post-process trace / journal / profiler files into reports.
+    /// Post-process trace / journal / profile files into reports.
     Analyze {
-        /// Input files: trace JSONL, durable journals, or profiler
-        /// reports (auto-detected per file).
+        /// Input files: trace JSONL, durable journals, or saved
+        /// profiles (auto-detected per file).
         inputs: Vec<PathBuf>,
         /// Emit machine-readable JSON instead of text.
         json: bool,
@@ -153,7 +151,7 @@ pub enum Command {
         label: String,
         /// Processor count for utilization accounting.
         processors: usize,
-        /// Profiler report (JSON) to fold into the Prometheus export.
+        /// Saved profile (JSON) to fold into the Prometheus export.
         profile: Option<PathBuf>,
         /// Write Prometheus exposition text to this path.
         prom: Option<PathBuf>,
@@ -191,16 +189,17 @@ pub enum Command {
         /// Artificial per-command apply delay in microseconds — a chaos
         /// knob that makes overload reproducible on fast machines.
         throttle_us: u64,
-        /// Enable the self-profiler; write its report here at drain.
+        /// Arm the profile scope; write the registry capture here at
+        /// drain.
         profile: Option<PathBuf>,
         /// Failpoint schedule (JSON array of specs) arming the socket
         /// layer (`serve.accept`, `serve.conn.read`, `serve.conn.write`).
         chaos: Option<PathBuf>,
         /// Seed for the armed failpoint streams.
         chaos_seed: u64,
-        /// Disable the live telemetry registry (`/metrics` serves an
-        /// empty exposition). Exists for honest overhead A/B runs —
-        /// the registry is designed to stay on in production.
+        /// Turn the registry's live scope off (`/metrics` serves empty
+        /// series). Exists for honest overhead A/B runs — the registry
+        /// is designed to stay on in production.
         no_telemetry: bool,
     },
     /// Load-test (and chaos-test) a live `mbts serve` daemon.
@@ -272,6 +271,8 @@ pub enum Command {
     },
     /// List available policies.
     Policies,
+    /// Print usage (`-h` / `--help` anywhere, or `mbts help`).
+    Help,
 }
 
 /// Parses a policy spec (`first-reward:0.3:0.01` etc.).
@@ -423,8 +424,7 @@ pub fn usage() -> &'static str {
      \x20           [--workflow SHAPE [--workflows N]]  (writes a DAG workflow set)\n\
      mbts run    <--trace FILE | --workflow FILE> [--policy SPEC] [--admission SPEC]\n\
      \x20           [--processors P] [--preemption] [--drop-expired] [--gantt] [--classes]\n\
-     \x20           [--audit FILE] [--journal FILE] [--trace-out FILE [--provenance]]\n\
-     \x20           [--profile FILE]\n\
+     \x20           [--journal FILE] [--trace-out FILE [--provenance]] [--profile FILE]\n\
      mbts market <--trace FILE | --workflow FILE> [--sites N] [--procs-per-site P] [--policy SPEC]\n\
      \x20           [--admission SPEC] [--selection KIND] [--second-price] [--seed S]\n\
      \x20           [--journal FILE] [--trace-out FILE [--provenance]] [--profile FILE]\n\
@@ -433,7 +433,7 @@ pub fn usage() -> &'static str {
      \x20           [--time-scale X] [--snapshot-every N] [--fsync-every N]\n\
      \x20           [--provenance] [--status-cap N] [--throttle-us U] [--profile FILE]\n\
      \x20           [--chaos SCHEDULE.json [--chaos-seed S]]  (arm socket failpoints)\n\
-     \x20           [--no-telemetry]  (overhead A/B only; /metrics goes empty)\n\
+     \x20           [--no-telemetry]  (overhead A/B only; /metrics series stay empty)\n\
      mbts flood  --addr HOST:PORT [--requests N] [--connections N] [--pipeline N]\n\
      \x20           [--seed S] [--retries N] [--cancel-every N] [--malformed-every N]\n\
      \x20           [--gate-rps R] [--out FILE]\n\
@@ -451,6 +451,8 @@ pub fn usage() -> &'static str {
      mbts validate --trace FILE\n\
      mbts policies\n\
      \n\
+     -h / --help on any subcommand prints this text.\n\
+     \n\
      policy specs: fcfs srpt swpt first-price pv:<rate> first-reward:<alpha>:<rate>\n\
      admission specs: all positive slack:<threshold>\n\
      shape specs: fork-join:<width> pipeline:<depth> layered:<layers>:<width>:<edge_prob>"
@@ -461,6 +463,11 @@ pub fn parse(args: &[String]) -> Result<Command, String> {
     let mut it = args.iter().map(String::as_str);
     let sub = it.next().ok_or_else(|| usage().to_string())?;
     let rest: Vec<&str> = it.collect();
+    if matches!(sub, "help" | "-h" | "--help") || rest.iter().any(|a| matches!(*a, "-h" | "--help"))
+    {
+        return Ok(Command::Help);
+    }
+    let flags = |valued, switches| scan_flags(&rest, valued, switches, false);
     let get = |flag: &str| -> Option<&str> {
         rest.iter()
             .position(|a| *a == flag)
@@ -482,6 +489,11 @@ pub fn parse(args: &[String]) -> Result<Command, String> {
 
     match sub {
         "gen" => {
+            flags(
+                "--out --swf --tasks --processors --load --seed --value-skew --decay-skew \
+                 --mean-decay --bound --widths --workflow --workflows",
+                "",
+            )?;
             let out = PathBuf::from(get("--out").ok_or("gen requires --out FILE")?);
             let mut mix = MixConfig::millennium_default()
                 .with_tasks(int("--tasks", 5000)?)
@@ -528,6 +540,11 @@ pub fn parse(args: &[String]) -> Result<Command, String> {
             })
         }
         "run" => {
+            flags(
+                "--trace --workflow --processors --policy --admission --journal --trace-out \
+                 --profile",
+                "--preemption --drop-expired --gantt --classes --provenance",
+            )?;
             let trace = get("--trace").map(PathBuf::from);
             let workflow = get("--workflow").map(PathBuf::from);
             match (&trace, &workflow) {
@@ -537,11 +554,9 @@ pub fn parse(args: &[String]) -> Result<Command, String> {
                 }
                 _ => {}
             }
-            let audit = get("--audit").map(PathBuf::from);
             let mut site = SiteConfig::new(int("--processors", 16)?)
                 .with_preemption(has("--preemption"))
                 .with_drop_expired(has("--drop-expired"))
-                .with_audit(audit.is_some())
                 .with_record_segments(has("--gantt"));
             if let Some(p) = get("--policy") {
                 site = site.with_policy(parse_policy(p)?);
@@ -560,7 +575,6 @@ pub fn parse(args: &[String]) -> Result<Command, String> {
                 site,
                 gantt: has("--gantt"),
                 classes: has("--classes"),
-                audit,
                 journal: get("--journal").map(PathBuf::from),
                 trace_out,
                 provenance,
@@ -568,21 +582,11 @@ pub fn parse(args: &[String]) -> Result<Command, String> {
             })
         }
         "market" => {
-            let mut skip = false;
-            for a in &rest {
-                if skip {
-                    skip = false;
-                    continue;
-                }
-                match *a {
-                    "--trace" | "--workflow" | "--sites" | "--procs-per-site" | "--policy"
-                    | "--admission" | "--selection" | "--seed" | "--journal" | "--trace-out"
-                    | "--profile" => skip = true,
-                    "--second-price" | "--provenance" => {}
-                    f if f.starts_with("--") => return Err(format!("unknown flag '{f}'")),
-                    other => return Err(format!("unexpected argument '{other}'")),
-                }
-            }
+            flags(
+                "--trace --workflow --sites --procs-per-site --policy --admission --selection \
+                 --seed --journal --trace-out --profile",
+                "--second-price --provenance",
+            )?;
             let trace = get("--trace").map(PathBuf::from);
             let workflow = get("--workflow").map(PathBuf::from);
             match (&trace, &workflow) {
@@ -625,6 +629,7 @@ pub fn parse(args: &[String]) -> Result<Command, String> {
             })
         }
         "analyze" => {
+            let inputs = scan_flags(&rest, "--format --buckets --out", "", true)?;
             let json = match get("--format") {
                 None | Some("text") => false,
                 Some("json") => true,
@@ -633,21 +638,6 @@ pub fn parse(args: &[String]) -> Result<Command, String> {
             let buckets = int("--buckets", 20)?;
             if buckets == 0 {
                 return Err("--buckets must be at least 1".into());
-            }
-            // Positional inputs: everything that is neither a flag nor
-            // the value of a value-taking flag.
-            let mut inputs = Vec::new();
-            let mut skip = false;
-            for a in &rest {
-                if skip {
-                    skip = false;
-                    continue;
-                }
-                match *a {
-                    "--format" | "--buckets" | "--out" => skip = true,
-                    f if f.starts_with("--") => return Err(format!("unknown flag '{f}'")),
-                    file => inputs.push(PathBuf::from(file)),
-                }
             }
             if inputs.is_empty() {
                 return Err("analyze requires at least one input file".into());
@@ -660,6 +650,7 @@ pub fn parse(args: &[String]) -> Result<Command, String> {
             })
         }
         "metrics" => {
+            flags("--trace --label --processors --profile --prom", "")?;
             let trace = PathBuf::from(get("--trace").ok_or("metrics requires --trace FILE")?);
             Ok(Command::Metrics {
                 trace,
@@ -670,10 +661,17 @@ pub fn parse(args: &[String]) -> Result<Command, String> {
             })
         }
         "resume" => {
+            flags("--journal", "")?;
             let journal = PathBuf::from(get("--journal").ok_or("resume requires --journal FILE")?);
             Ok(Command::Resume { journal })
         }
         "serve" => {
+            flags(
+                "--addr --journal --processors --policy --admission --queue-cap --shed-threshold \
+                 --time-scale --snapshot-every --fsync-every --status-cap --throttle-us --profile \
+                 --chaos --chaos-seed",
+                "--provenance --no-telemetry",
+            )?;
             let addr = get("--addr").unwrap_or("127.0.0.1:7741").to_string();
             let mut site = SiteConfig::new(int("--processors", 4)?);
             if let Some(p) = get("--policy") {
@@ -709,6 +707,11 @@ pub fn parse(args: &[String]) -> Result<Command, String> {
             })
         }
         "flood" => {
+            flags(
+                "--addr --requests --connections --pipeline --seed --retries --cancel-every \
+                 --malformed-every --gate-rps --out",
+                "",
+            )?;
             let addr = get("--addr")
                 .ok_or("flood requires --addr HOST:PORT")?
                 .to_string();
@@ -741,8 +744,9 @@ pub fn parse(args: &[String]) -> Result<Command, String> {
             })
         }
         "top" => {
+            flags("--addr --interval --count", "--once")?;
             let interval = num("--interval", 1.0)?;
-            if !(interval > 0.0) {
+            if interval.is_nan() || interval <= 0.0 {
                 return Err("--interval must be positive".into());
             }
             let count = if has("--once") {
@@ -763,6 +767,7 @@ pub fn parse(args: &[String]) -> Result<Command, String> {
             })
         }
         "chaos" => {
+            let inputs = scan_flags(&rest, "--format --seed --out --trace-out", "", true)?;
             let json = match get("--format") {
                 None | Some("text") => false,
                 Some("json") => true,
@@ -775,21 +780,6 @@ pub fn parse(args: &[String]) -> Result<Command, String> {
                 ),
                 None => None,
             };
-            // Positional inputs: everything that is neither a flag nor
-            // the value of a value-taking flag.
-            let mut inputs = Vec::new();
-            let mut skip = false;
-            for a in &rest {
-                if skip {
-                    skip = false;
-                    continue;
-                }
-                match *a {
-                    "--format" | "--seed" | "--out" | "--trace-out" => skip = true,
-                    f if f.starts_with("--") => return Err(format!("unknown flag '{f}'")),
-                    file => inputs.push(PathBuf::from(file)),
-                }
-            }
             if inputs.is_empty() {
                 return Err("chaos requires at least one scenario file or directory".into());
             }
@@ -802,6 +792,10 @@ pub fn parse(args: &[String]) -> Result<Command, String> {
             })
         }
         "compare" => {
+            flags(
+                "--a --b --tasks --load --seeds --processors --admission --mean-decay",
+                "",
+            )?;
             let pa = parse_policy(get("--a").ok_or("compare requires --a SPEC")?)?;
             let pb = parse_policy(get("--b").ok_or("compare requires --b SPEC")?)?;
             let procs = int("--processors", 16)?;
@@ -825,12 +819,43 @@ pub fn parse(args: &[String]) -> Result<Command, String> {
             })
         }
         "validate" => {
+            flags("--trace", "")?;
             let trace = PathBuf::from(get("--trace").ok_or("validate requires --trace FILE")?);
             Ok(Command::Validate { trace })
         }
-        "policies" => Ok(Command::Policies),
+        "policies" => {
+            flags("", "")?;
+            Ok(Command::Policies)
+        }
         other => Err(format!("unknown subcommand '{other}'\n{}", usage())),
     }
+}
+
+/// The one flag scanner: every argument must be one of the
+/// space-separated `valued` flags (its value is skipped) or `switches`,
+/// or — when `positional` — an input path. Returns the inputs in order.
+fn scan_flags(
+    rest: &[&str],
+    valued: &str,
+    switches: &str,
+    positional: bool,
+) -> Result<Vec<PathBuf>, String> {
+    let listed = |table: &str, a: &str| table.split_whitespace().any(|f| f == a);
+    let mut inputs = Vec::new();
+    let mut args = rest.iter();
+    while let Some(&a) = args.next() {
+        if listed(valued, a) {
+            args.next();
+        } else if listed(switches, a) {
+        } else if a.starts_with('-') {
+            return Err(format!("unknown flag '{a}'"));
+        } else if positional {
+            inputs.push(PathBuf::from(a));
+        } else {
+            return Err(format!("unexpected argument '{a}'"));
+        }
+    }
+    Ok(inputs)
 }
 
 /// Events between journal snapshots for `--journal` runs: frequent
@@ -922,11 +947,12 @@ fn make_tracer(capture: bool, provenance: bool) -> mbts_trace::Tracer {
     }
 }
 
-/// Arms the self-profiler for one run; returns whether it was armed.
+/// Arms the registry's profile scope for one run; returns whether it
+/// was armed.
 fn start_profiling(wanted: bool) -> bool {
     if wanted {
-        mbts_sim::profiler::reset();
-        mbts_sim::profiler::enable();
+        mbts_sim::metrics::reset();
+        mbts_sim::metrics::Scope::Profile.enable();
     }
     wanted
 }
@@ -944,17 +970,20 @@ fn write_trace_out(
     writeln!(out, "trace: {} events -> {}", events.len(), path.display()).map_err(|e| e.to_string())
 }
 
-/// Disarms the self-profiler and saves its report, if it was armed.
+/// Captures the registry, disarms the profile scope, and saves the
+/// capture (with the serve summary, for daemons), if it was armed.
 fn write_profile_out(
     armed: bool,
     path: Option<&std::path::Path>,
+    serve: Option<mbts_trace::ServeSummary>,
     out: &mut dyn std::io::Write,
 ) -> Result<(), String> {
     if !armed {
         return Ok(());
     }
-    let report = mbts_trace::ProfileReport::capture();
-    mbts_sim::profiler::disable();
+    let mut report = mbts_trace::ProfileReport::capture();
+    report.serve = serve;
+    mbts_sim::metrics::Scope::Profile.disable();
     let Some(path) = path else { return Ok(()) };
     let json = serde_json::to_string_pretty(&report).map_err(|e| e.to_string())?;
     std::fs::write(path, json).map_err(|e| format!("cannot write {}: {e}", path.display()))?;
@@ -963,7 +992,7 @@ fn write_profile_out(
 
 /// One `mbts analyze` input, after auto-detection.
 enum AnalyzeInput {
-    /// A saved self-profiler report.
+    /// A saved profile.
     Profile(mbts_trace::ProfileReport),
     /// A trace-event stream (from JSONL, or replayed out of a journal).
     Events(Vec<mbts_trace::TraceEvent>),
@@ -979,7 +1008,7 @@ struct AnalyzeEntry {
     kind: &'static str,
     /// Trace analytics, for trace / journal inputs.
     trace: Option<mbts_trace::TraceReport>,
-    /// Profiler histograms, for profiler-report inputs.
+    /// Registry capture, for saved-profile inputs.
     profile: Option<mbts_trace::ProfileReport>,
 }
 
@@ -987,16 +1016,9 @@ struct AnalyzeEntry {
 fn read_profile_report(path: &std::path::Path) -> Result<mbts_trace::ProfileReport, String> {
     let text = std::fs::read_to_string(path)
         .map_err(|e| format!("cannot read {}: {e}", path.display()))?;
-    let report: mbts_trace::ProfileReport = serde_json::from_str(&text)
-        .map_err(|e| format!("{} is not a profiler report: {e}", path.display()))?;
-    if report.kind != mbts_trace::PROFILE_MARKER {
-        return Err(format!(
-            "{} is not a profiler report (kind '{}')",
-            path.display(),
-            report.kind
-        ));
-    }
-    Ok(report)
+    mbts_trace::ProfileReport::from_json(&text)
+        .map_err(|e| format!("{}: {e}", path.display()))?
+        .ok_or_else(|| format!("{} is not a saved profile", path.display()))
 }
 
 /// Serializes a flood report for `--out`, appending this run's
@@ -1034,7 +1056,7 @@ fn flood_report_json(
 /// Detects what kind of file an `analyze` input is and loads it:
 /// durable journals are recognized by their magic header (the run is
 /// replayed to completion and its captured tracer events extracted),
-/// profiler reports by their JSON marker, and anything else is parsed
+/// saved profiles by their JSON marker, and anything else is parsed
 /// as a trace-event JSONL stream.
 fn load_analyze_input(path: &std::path::Path) -> Result<AnalyzeInput, String> {
     let bytes = std::fs::read(path).map_err(|e| format!("cannot read {}: {e}", path.display()))?;
@@ -1072,10 +1094,10 @@ fn load_analyze_input(path: &std::path::Path) -> Result<AnalyzeInput, String> {
     }
     let text =
         String::from_utf8(bytes).map_err(|e| format!("{} is not UTF-8: {e}", path.display()))?;
-    if let Ok(report) = serde_json::from_str::<mbts_trace::ProfileReport>(&text) {
-        if report.kind == mbts_trace::PROFILE_MARKER {
-            return Ok(AnalyzeInput::Profile(report));
-        }
+    if let Some(report) = mbts_trace::ProfileReport::from_json(&text)
+        .map_err(|e| format!("{}: {e}", path.display()))?
+    {
+        return Ok(AnalyzeInput::Profile(report));
     }
     mbts_trace::from_jsonl(&text)
         .map(AnalyzeInput::Events)
@@ -1134,7 +1156,6 @@ pub fn execute(cmd: Command, out: &mut dyn std::io::Write) -> Result<(), String>
             site,
             gantt,
             classes,
-            audit,
             journal,
             trace_out,
             provenance,
@@ -1203,7 +1224,7 @@ pub fn execute(cmd: Command, out: &mut dyn std::io::Write) -> Result<(), String>
                 }
             };
             write_trace_out(trace_out.as_deref(), tracer, out)?;
-            write_profile_out(profiling, profile.as_deref(), out)?;
+            write_profile_out(profiling, profile.as_deref(), None, out)?;
             let m = &outcome.metrics;
             writeln!(
                 out,
@@ -1270,17 +1291,6 @@ pub fn execute(cmd: Command, out: &mut dyn std::io::Write) -> Result<(), String>
                 writeln!(out, "{}", render_gantt(&outcome.segments, 100))
                     .map_err(|e| e.to_string())?;
             }
-            if let Some(path) = audit {
-                std::fs::write(&path, mbts_site::audit::to_jsonl(&outcome.audit))
-                    .map_err(|e| format!("cannot write {}: {e}", path.display()))?;
-                writeln!(
-                    out,
-                    "audit log: {} events -> {}",
-                    outcome.audit.len(),
-                    path.display()
-                )
-                .map_err(|e| e.to_string())?;
-            }
             Ok(())
         }
         Command::Market {
@@ -1339,7 +1349,7 @@ pub fn execute(cmd: Command, out: &mut dyn std::io::Write) -> Result<(), String>
                 None => Economy::new(economy).run_trace_traced(&trace, tracer),
             };
             write_trace_out(trace_out.as_deref(), tracer, out)?;
-            write_profile_out(profiling, profile.as_deref(), out)?;
+            write_profile_out(profiling, profile.as_deref(), None, out)?;
             market_summary(&outcome, out)
         }
         Command::Analyze {
@@ -1414,7 +1424,8 @@ pub fn execute(cmd: Command, out: &mut dyn std::io::Write) -> Result<(), String>
             registry.finish_run();
             write!(out, "{}", registry.render()).map_err(|e| e.to_string())?;
             if let Some(path) = prom {
-                let mut exposition = registry.prometheus();
+                let mut exposition = mbts_sim::metrics::Exposition::new();
+                registry.write_prometheus(&mut exposition);
                 let profile_report = match profile {
                     Some(p) => Some(read_profile_report(&p)?),
                     None => {
@@ -1423,9 +1434,9 @@ pub fn execute(cmd: Command, out: &mut dyn std::io::Write) -> Result<(), String>
                     }
                 };
                 if let Some(report) = profile_report {
-                    exposition.push_str(&report.render_prometheus());
+                    report.write_prometheus(&mut exposition);
                 }
-                std::fs::write(&path, &exposition)
+                std::fs::write(&path, exposition.finish())
                     .map_err(|e| format!("cannot write {}: {e}", path.display()))?;
                 writeln!(out, "prometheus exposition -> {}", path.display())
                     .map_err(|e| e.to_string())?;
@@ -1521,7 +1532,7 @@ pub fn execute(cmd: Command, out: &mut dyn std::io::Write) -> Result<(), String>
         } => {
             let profiling = start_profiling(profile.is_some());
             if no_telemetry {
-                mbts_trace::telemetry::disable();
+                mbts_sim::metrics::Scope::Live.disable();
             }
             mbts_serve::install_signal_handlers();
             let registry = match &chaos {
@@ -1568,18 +1579,12 @@ pub fn execute(cmd: Command, out: &mut dyn std::io::Write) -> Result<(), String>
             }
             out.flush().map_err(|e| e.to_string())?;
             let report = server.join().map_err(|e| format!("daemon failed: {e}"))?;
-            if profiling {
-                let mut profile_report = mbts_trace::ProfileReport::capture();
-                profile_report.serve = Some(report.summary.clone());
-                mbts_sim::profiler::disable();
-                if let Some(path) = profile {
-                    let json =
-                        serde_json::to_string_pretty(&profile_report).map_err(|e| e.to_string())?;
-                    std::fs::write(&path, json)
-                        .map_err(|e| format!("cannot write {}: {e}", path.display()))?;
-                    writeln!(out, "profile -> {}", path.display()).map_err(|e| e.to_string())?;
-                }
-            }
+            write_profile_out(
+                profiling,
+                profile.as_deref(),
+                Some(report.summary.clone()),
+                out,
+            )?;
             let s = &report.summary;
             writeln!(
                 out,
@@ -1820,8 +1825,13 @@ pub fn execute(cmd: Command, out: &mut dyn std::io::Write) -> Result<(), String>
             if let Some(path) = &trace_out {
                 std::fs::write(path, mbts_trace::to_jsonl(&events))
                     .map_err(|e| format!("cannot write {}: {e}", path.display()))?;
-                writeln!(out, "chaos trace: {} events -> {}", events.len(), path.display())
-                    .map_err(|e| e.to_string())?;
+                writeln!(
+                    out,
+                    "chaos trace: {} events -> {}",
+                    events.len(),
+                    path.display()
+                )
+                .map_err(|e| e.to_string())?;
             }
             Ok(())
         }
@@ -1836,6 +1846,7 @@ pub fn execute(cmd: Command, out: &mut dyn std::io::Write) -> Result<(), String>
                 Err(format!("{} error(s) found", report.errors.len()))
             }
         }
+        Command::Help => writeln!(out, "{}", usage()).map_err(|e| e.to_string()),
         Command::Policies => writeln!(
             out,
             "fcfs                       first-come-first-served (baseline)\n\
@@ -2006,6 +2017,82 @@ mod tests {
              --journal j.bin --trace-out t.jsonl --provenance --profile p.json"
         ))
         .is_ok());
+    }
+
+    #[test]
+    fn every_subcommand_rejects_unknown_flags_and_answers_help() {
+        assert_eq!(
+            parse(&args("serve --fsync-evry 1")).unwrap_err(),
+            "unknown flag '--fsync-evry'"
+        );
+        assert_eq!(
+            parse(&args("run --trace t.json --audit a.jsonl")).unwrap_err(),
+            "unknown flag '--audit'"
+        );
+        assert_eq!(
+            parse(&args("top stray")).unwrap_err(),
+            "unexpected argument 'stray'"
+        );
+        assert!(parse(&args("flood --addr a:1 --connection 2")).is_err());
+        for help in [
+            "serve --help",
+            "serve -h",
+            "flood --addr a:1 --help",
+            "top --help",
+            "run --help",
+            "help",
+            "--help",
+        ] {
+            assert_eq!(parse(&args(help)).unwrap(), Command::Help, "{help}");
+        }
+        let mut buf = Vec::new();
+        execute(Command::Help, &mut buf).unwrap();
+        assert!(String::from_utf8(buf).unwrap().starts_with("usage: mbts"));
+    }
+
+    #[test]
+    fn documented_invocations_still_parse() {
+        // The invocations CI, the README and the benchmark harness run.
+        for line in [
+            "gen --out t.json --tasks 500 --processors 4 --load 2.0 --seed 7",
+            "gen --out wf.json --workflow layered:3:2:0.5 --workflows 24 --processors 8 \
+             --load 2.0 --seed 11",
+            "gen --out trace.json --tasks 5000 --load 2 --widths pow2:3",
+            "run --trace t.json --processors 4 --policy first-reward:0.3:0.01 \
+             --admission slack:180 --preemption --drop-expired --trace-out e.jsonl \
+             --provenance --profile p.json",
+            "run --trace trace.json --policy first-reward:0.3:0.01 --admission slack:180 \
+             --preemption --classes --gantt",
+            "market --workflow wf.json --sites 8 --procs-per-site 2 \
+             --policy first-reward:0.3:0.01 --admission slack:0 --trace-out r.jsonl",
+            "analyze e.jsonl p.json --format json --out a.json",
+            "metrics --trace e.jsonl --prom m.prom",
+            "compare --a first-price --b first-reward:0.3:0.01 --load 1.5 --seeds 8",
+            "validate --trace real.json",
+            "resume --journal svc.mbtsj",
+            "serve --addr 127.0.0.1:7911 --journal s.mbtsj --processors 8 --queue-cap 65536 \
+             --snapshot-every 2048 --time-scale 20",
+            "serve --addr 127.0.0.1:7917 --journal s.mbtsj --processors 8 --queue-cap 65536 \
+             --snapshot-every 0 --time-scale 20 --chaos f.json --chaos-seed 7",
+            "serve --addr 127.0.0.1:0 --processors 16 --policy first-reward:0.3:0.01 \
+             --admission slack:180 --snapshot-every 8192 --fsync-every 0 --time-scale 1 \
+             --journal j.mbtsj",
+            "flood --addr 127.0.0.1:7911 --requests 60000 --connections 4 --pipeline 64 \
+             --seed 1 --retries 3 --cancel-every 200",
+            "flood --addr 127.0.0.1:7912 --requests 300000 --connections 6 --pipeline 256 \
+             --seed 42 --retries 0 --cancel-every 100 --gate-rps 100000 --out B.json",
+            "flood --addr 127.0.0.1:7917 --requests 60000 --connections 4 --pipeline 64 \
+             --seed 1 --retries 5 --cancel-every 200 --malformed-every 50",
+            "top --addr 127.0.0.1:7911 --once",
+            "chaos tests/chaos --seed 6427 --format json --out c.json --trace-out c.jsonl",
+            "policies",
+        ] {
+            assert!(
+                parse(&args(line)).is_ok(),
+                "{line}: {:?}",
+                parse(&args(line))
+            );
+        }
     }
 
     #[test]
@@ -2463,7 +2550,14 @@ mod tests {
         let exposition = std::fs::read_to_string(&prom).unwrap();
         assert!(exposition.contains("mbts_tasks_total"), "{exposition}");
         assert!(
-            exposition.contains("mbts_profiler_latency_seconds_bucket"),
+            exposition.contains("pool_insert_duration_seconds_bucket"),
+            "{exposition}"
+        );
+        assert_eq!(
+            exposition
+                .matches("# TYPE mbts_tasks_total counter")
+                .count(),
+            1,
             "{exposition}"
         );
 

@@ -40,8 +40,7 @@ fn everything_economy() -> EconomyConfig {
             .with_policy(Policy::first_reward(0.25, 0.01))
             .with_admission(AdmissionPolicy::SlackThreshold { threshold: 50.0 })
             .with_preemption(true)
-            .with_preemption_mode(PreemptionMode::CheckpointRestore { overhead: 2.0 })
-            .with_audit(true),
+            .with_preemption_mode(PreemptionMode::CheckpointRestore { overhead: 2.0 }),
     );
     cfg.sites.push(
         SiteConfig::new(4)
@@ -111,11 +110,6 @@ fn kitchen_sink_economy_stays_consistent() {
     // Budgets: client debits equal charges.
     let spent: f64 = out.client_spend.iter().sum();
     assert!((spent - out.total_paid).abs() < 1e-6 * (1.0 + out.total_paid.abs()));
-
-    // The audited site's trail is time-ordered and complete.
-    let audit = &out.per_site[0].audit;
-    assert!(!audit.is_empty());
-    assert!(audit.windows(2).all(|w| w[0].at <= w[1].at));
 
     // Determinism: the whole kitchen sink replays identically.
     let again = Economy::new(everything_economy()).run_trace(&trace);
