@@ -7,7 +7,7 @@
 //! can depend on it.
 
 use crate::registry::FailpointSpec;
-use serde::{Deserialize, Serialize};
+use serde::{Deserialize, Serialize, Value};
 use std::fs;
 use std::io;
 use std::path::{Path, PathBuf};
@@ -114,6 +114,15 @@ impl ScenarioTarget {
             ScenarioTarget::Serve { .. } => "serve",
         }
     }
+
+    /// Snapshot cadence of the target's journal.
+    pub fn snapshot_every(&self) -> u64 {
+        match self {
+            ScenarioTarget::Site { snapshot_every, .. }
+            | ScenarioTarget::Market { snapshot_every, .. }
+            | ScenarioTarget::Serve { snapshot_every, .. } => *snapshot_every,
+        }
+    }
 }
 
 /// One chaos scenario: `(seed, target, schedule)`.
@@ -133,9 +142,19 @@ pub struct Scenario {
 }
 
 impl Scenario {
-    /// Parses a scenario from JSON text.
+    /// Parses a scenario from JSON text. A field the schema does not
+    /// know — in the scenario, its target, or a failpoint — is an error
+    /// naming it, so a stale or misspelled knob never runs silently.
     pub fn from_json(text: &str) -> Result<Self, String> {
-        serde_json::from_str(text).map_err(|e| format!("bad scenario JSON: {e}"))
+        let bad = |e: String| format!("bad scenario JSON: {e}");
+        let given: Value = serde_json::from_str(text).map_err(|e| bad(e.to_string()))?;
+        let scenario = Scenario::from_value(&given).map_err(|e| bad(e.to_string()))?;
+        // The vendored serde cannot deny unknown fields; every field it
+        // knows survives a round trip, so anything else is unknown.
+        match unknown_field(&given, &scenario.to_value(), "scenario") {
+            Some(path) => Err(bad(format!("unknown field `{path}`"))),
+            None => Ok(scenario),
+        }
     }
 
     /// Serializes the scenario as pretty JSON (corpus format).
@@ -146,8 +165,12 @@ impl Scenario {
     /// Loads one scenario file.
     pub fn load(path: &Path) -> io::Result<Self> {
         let text = fs::read_to_string(path)?;
-        Self::from_json(&text)
-            .map_err(|e| io::Error::new(io::ErrorKind::InvalidData, format!("{}: {e}", path.display())))
+        Self::from_json(&text).map_err(|e| {
+            io::Error::new(
+                io::ErrorKind::InvalidData,
+                format!("{}: {e}", path.display()),
+            )
+        })
     }
 
     /// Loads every `*.json` scenario in a corpus directory, sorted by
@@ -164,6 +187,26 @@ impl Scenario {
             out.push((path, scenario));
         }
         Ok(out)
+    }
+}
+
+/// The path of the first key in `given` that `known` (the same document
+/// re-serialized from its parsed form) lacks.
+fn unknown_field(given: &Value, known: &Value, path: &str) -> Option<String> {
+    match (given, known) {
+        (Value::Object(given), Value::Object(known)) => given.iter().find_map(|(key, value)| {
+            let path = format!("{path}.{key}");
+            match known.iter().find(|(k, _)| k == key) {
+                Some((_, known)) => unknown_field(value, known, &path),
+                None => Some(path),
+            }
+        }),
+        (Value::Array(given), Value::Array(known)) => given
+            .iter()
+            .zip(known)
+            .enumerate()
+            .find_map(|(i, (g, k))| unknown_field(g, k, &format!("{path}[{i}]"))),
+        _ => None,
     }
 }
 
@@ -213,5 +256,31 @@ mod tests {
             other => panic!("wrong target: {other:?}"),
         }
         assert_eq!(parsed.target.class(), "serve");
+    }
+
+    #[test]
+    fn unknown_fields_are_rejected_by_name() {
+        let with = |target: &str, failpoint: &str, top: &str| {
+            format!(
+                r#"{{"name": "x", "seed": 1{top},
+                    "target": {{"Serve": {{"commands": 10{target}}}}},
+                    "failpoints": [{{"point": "durable.sink.write", "action": "Enospc"{failpoint}}}]}}"#
+            )
+        };
+        assert!(Scenario::from_json(&with("", "", "")).is_ok());
+        for (text, field) in [
+            (
+                with(r#", "shards": 4, "bogus": true"#, "", ""),
+                "scenario.target.Serve.shards",
+            ),
+            (
+                with("", r#", "evry": 3"#, ""),
+                "scenario.failpoints[0].evry",
+            ),
+            (with("", "", r#", "sede": 2"#), "scenario.sede"),
+        ] {
+            let err = Scenario::from_json(&text).expect_err(field);
+            assert!(err.contains(&format!("unknown field `{field}`")), "{err}");
+        }
     }
 }

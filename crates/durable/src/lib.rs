@@ -1,10 +1,11 @@
-//! # mbts-durable — crash-consistent simulation runs
+//! # mbts-durable — crash-consistent runs
 //!
 //! A snapshot + write-ahead-journal layer that makes [`mbts_site`] and
-//! [`mbts_market`] runs recoverable at **any event boundary**: kill the
-//! process after any event — or mid-write, tearing the journal's tail —
-//! and recovery reproduces the uninterrupted run bit for bit (schedule,
-//! yields, account balances and trace stream included).
+//! [`mbts_market`] runs — and the live service in `mbts-serve` —
+//! recoverable at **any record boundary**: kill the process after any
+//! record — or mid-write, tearing the journal's tail — and recovery
+//! reproduces the uninterrupted run bit for bit (schedule, yields,
+//! account balances and trace stream included).
 //!
 //! Three layers:
 //!
@@ -13,11 +14,16 @@
 //!   damaged record, so any torn tail degrades to a clean valid prefix.
 //! * [`journal`] — the append-only record stream (in-memory, optionally
 //!   mirrored to a flushed file) and the byte-level recovery scan.
-//! * [`run`] — the [`Recoverable`] trait (implemented by
-//!   [`SiteRun`](mbts_site::SiteRun) and
-//!   [`EconomyRun`](mbts_market::EconomyRun)) and [`DurableRun`], which
-//!   journals every event ahead of applying it, snapshots on a cadence,
-//!   and recovers by snapshot-restore + verified event replay.
+//! * [`run`] — [`DurableRun`], the one journaled runner. Its
+//!   [`commit`](DurableRun::commit) appends a record, applies it, and
+//!   runs the snapshot cadence; its [`recover`](DurableRun::recover)
+//!   restores the latest intact snapshot and folds the suffix back in;
+//!   [`resume_file`](DurableRun::resume_file) does that on disk and
+//!   keeps appending. Any [`Recoverable`] state plugs in: the
+//!   [`Stepwise`] simulations ([`SiteRun`](mbts_site::SiteRun),
+//!   [`EconomyRun`](mbts_market::EconomyRun)) journal the event they are
+//!   due and verify it on replay; the service machine journals the
+//!   commands it is fed.
 //!
 //! Determinism does the heavy lifting: because the simulations derive
 //! every draw from owned RNG streams and the event queue breaks ties by
@@ -64,7 +70,4 @@ pub mod run;
 pub use chaos::{corrupt_image, ChaosSink, SharedImage};
 pub use framing::{FramingError, RecordTag, ScanOutcome};
 pub use journal::{load, recover_bytes, Journal, JournalSink, RecoverError, Recovered, ShortWrite};
-pub use run::{
-    durable_economy_run, durable_site_run, durable_site_workflow_run, DurableRun, Recoverable,
-    RecoveryReport,
-};
+pub use run::{DurableRun, Recoverable, RecoveryReport, Stepwise};

@@ -1,23 +1,26 @@
 //! Journal-first command application: the durability contract of the live
 //! service.
 //!
-//! A [`ServiceRun`] owns a [`ServiceMachine`] and an `mbts-durable`
-//! [`Journal`]. Every command is **appended to the journal before it is
-//! applied** — the journal is the single source of truth, and the machine
-//! is a deterministic fold over it. `kill -9` between append and apply
-//! loses nothing: recovery replays the appended command. `kill -9` mid-
-//! append leaves a torn tail that the CRC framing truncates, so the
-//! command was simply never accepted (and the client never saw a reply).
+//! A [`ServiceRun`] is the `mbts-durable` runner over a [`ServiceMachine`]:
+//! every command is **appended to the journal before it is applied** — the
+//! journal is the single source of truth, and the machine is a
+//! deterministic fold over it. `kill -9` between append and apply loses
+//! nothing: recovery replays the appended command. `kill -9` mid-append
+//! leaves a torn tail that the CRC framing truncates, so the command was
+//! simply never accepted (and the client never saw a reply).
 //!
 //! Snapshots are folded into the same journal on a command-count cadence,
-//! bounding replay work without a second file.
+//! bounding replay work without a second file. Genesis, cadence, recovery
+//! and resume are [`DurableRun`]'s; this module adds only what is
+//! service-specific: construction from a [`MachineConfig`], dense task-id
+//! assignment, and the live-series timing of each stage.
 
-use std::fmt;
 use std::io;
+use std::ops::{Deref, DerefMut};
 use std::path::Path;
 
-use mbts_durable::{recover_bytes, Journal, RecoverError};
-use mbts_sim::metrics::{self, Series};
+use mbts_durable::{DurableRun, Journal, RecoverError, Recoverable, RecoveryReport};
+use mbts_sim::metrics::Series;
 use mbts_sim::Time;
 use mbts_workload::TaskId;
 
@@ -26,238 +29,126 @@ use crate::machine::{
     SERVICE_SNAPSHOT_FORMAT,
 };
 
-/// Why a service journal could not be recovered.
-#[derive(Debug)]
-pub enum ServiceRecoverError {
-    /// The journal itself was unrecoverable (no intact snapshot).
-    Journal(RecoverError),
-    /// The latest snapshot payload was not a service snapshot.
-    BadSnapshot(String),
-    /// An event payload after the snapshot was not a valid command.
-    BadCommand {
-        /// Index of the offending event within the replayed suffix.
-        index: usize,
-        /// Parse error detail.
-        detail: String,
-    },
-}
+/// The machine's journal records are its stamped commands. The durability
+/// half and the compute half of the apply path are timed separately
+/// (fsync stalls vs fold cost), and the snapshot stall on its own; the
+/// registry only observes wall time, never feeds into `at` or a payload.
+impl Recoverable for ServiceMachine {
+    type Snapshot = ServiceSnapshot;
 
-impl fmt::Display for ServiceRecoverError {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        match self {
-            ServiceRecoverError::Journal(e) => write!(f, "journal unrecoverable: {e}"),
-            ServiceRecoverError::BadSnapshot(d) => {
-                write!(f, "latest snapshot is not a service snapshot: {d}")
-            }
-            ServiceRecoverError::BadCommand { index, detail } => {
-                write!(
-                    f,
-                    "journal event {index} is not a service command: {detail}"
-                )
-            }
+    const APPEND_SERIES: Option<Series> = Some(Series::ServeJournalAppend);
+    const APPLY_SERIES: Option<Series> = Some(Series::ServeApply);
+    const SNAPSHOT_SERIES: Option<Series> = Some(Series::ServeSnapshot);
+
+    fn snapshot(&self) -> ServiceSnapshot {
+        ServiceMachine::snapshot(self)
+    }
+
+    fn restore(snapshot: ServiceSnapshot) -> Result<Self, String> {
+        if snapshot.format != SERVICE_SNAPSHOT_FORMAT {
+            return Err(format!(
+                "unsupported service snapshot format {}",
+                snapshot.format
+            ));
         }
+        Ok(ServiceMachine::from_snapshot(snapshot))
+    }
+
+    fn replay(&mut self, record: &[u8]) -> Result<(), String> {
+        let cmd: Command =
+            serde_json::from_slice(record).map_err(|e| format!("not a service command: {e}"))?;
+        if cmd.seq != self.applied() {
+            return Err(format!(
+                "command seq {} but replay is due seq {}",
+                cmd.seq,
+                self.applied()
+            ));
+        }
+        self.apply(&cmd);
+        Ok(())
     }
 }
 
-impl std::error::Error for ServiceRecoverError {}
-
-impl From<RecoverError> for ServiceRecoverError {
-    fn from(e: RecoverError) -> Self {
-        ServiceRecoverError::Journal(e)
-    }
-}
-
-/// What recovery found and replayed.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct ServiceRecovery {
-    /// Commands replayed from the suffix after the latest snapshot.
-    pub replayed: u64,
-    /// Torn/corrupt trailing bytes discarded by the framing scan.
-    pub dropped_bytes: usize,
-}
-
-/// A machine bound to its journal — see the module docs.
-#[derive(Debug)]
-pub struct ServiceRun {
-    machine: ServiceMachine,
-    journal: Journal,
-    snapshot_every: u64,
-    since_snapshot: u64,
-}
+/// A machine bound to its journal — see the module docs. Everything but
+/// [`apply`](Self::apply) is the wrapped [`DurableRun`]'s.
+pub struct ServiceRun(DurableRun<ServiceMachine>);
 
 impl ServiceRun {
     /// Starts a fresh run: writes the genesis snapshot so the journal is
     /// recoverable from its very first byte.
     pub fn new(config: MachineConfig, journal: Journal, snapshot_every: u64) -> io::Result<Self> {
-        let mut run = ServiceRun {
-            machine: ServiceMachine::new(config),
-            journal,
-            snapshot_every,
-            since_snapshot: 0,
-        };
-        run.snapshot_now()?;
-        Ok(run)
+        DurableRun::new(ServiceMachine::new(config), journal, snapshot_every).map(ServiceRun)
     }
 
     /// Replays a journal byte image into a fresh machine. Pure — no file
-    /// handles involved; pair with [`Journal::reopen`] to resume on disk.
-    pub fn recover(bytes: &[u8]) -> Result<(ServiceMachine, ServiceRecovery), ServiceRecoverError> {
-        let rec = recover_bytes(bytes)?;
-        let snap: ServiceSnapshot = serde_json::from_slice(rec.snapshot)
-            .map_err(|e| ServiceRecoverError::BadSnapshot(e.to_string()))?;
-        if snap.format != SERVICE_SNAPSHOT_FORMAT {
-            return Err(ServiceRecoverError::BadSnapshot(format!(
-                "unsupported service snapshot format {}",
-                snap.format
-            )));
-        }
-        let mut machine = ServiceMachine::from_snapshot(snap);
-        for (index, payload) in rec.events.iter().enumerate() {
-            let cmd: Command =
-                serde_json::from_slice(payload).map_err(|e| ServiceRecoverError::BadCommand {
-                    index,
-                    detail: e.to_string(),
-                })?;
-            machine.apply(&cmd);
-        }
-        Ok((
-            machine,
-            ServiceRecovery {
-                replayed: rec.events.len() as u64,
-                dropped_bytes: rec.dropped_bytes,
-            },
-        ))
+    /// handles involved; [`resume_file`](Self::resume_file) resumes on disk.
+    pub fn recover(bytes: &[u8]) -> Result<(ServiceMachine, RecoveryReport), RecoverError> {
+        DurableRun::recover(bytes)
     }
 
-    /// Resumes (or starts) a run on a journal file: truncates any torn
-    /// tail, replays the surviving prefix, and keeps appending to the same
-    /// file. An empty or missing file starts a fresh run.
+    /// Resumes (or starts) a run on a journal file; see
+    /// [`DurableRun::resume_file`].
     pub fn resume_file(
         path: impl AsRef<Path>,
         config: MachineConfig,
         snapshot_every: u64,
         fsync_every_n: u64,
-    ) -> io::Result<(Self, ServiceRecovery)> {
-        let path = path.as_ref();
-        if !path.exists() || std::fs::metadata(path)?.len() == 0 {
-            let journal = Journal::create(path)?.with_fsync_every_n(fsync_every_n);
-            let run = ServiceRun::new(config, journal, snapshot_every)?;
-            return Ok((
-                run,
-                ServiceRecovery {
-                    replayed: 0,
-                    dropped_bytes: 0,
-                },
-            ));
-        }
-        let (journal, truncated) = Journal::reopen(path)?;
-        let journal = journal.with_fsync_every_n(fsync_every_n);
-        if journal.is_empty() {
-            // Every record was torn — indistinguishable from a fresh file.
-            let run = ServiceRun::new(config, journal, snapshot_every)?;
-            return Ok((
-                run,
-                ServiceRecovery {
-                    replayed: 0,
-                    dropped_bytes: truncated,
-                },
-            ));
-        }
-        let (machine, mut recovery) = Self::recover(journal.bytes())
-            .map_err(|e| io::Error::new(io::ErrorKind::InvalidData, e.to_string()))?;
-        recovery.dropped_bytes += truncated;
-        Ok((
-            ServiceRun {
-                machine,
-                journal,
-                snapshot_every,
-                since_snapshot: recovery.replayed,
-            },
-            recovery,
-        ))
+    ) -> io::Result<(Self, RecoveryReport)> {
+        let (run, report) = DurableRun::resume_file(
+            path,
+            || ServiceMachine::new(config),
+            snapshot_every,
+            fsync_every_n,
+        )?;
+        Ok((ServiceRun(run), report))
     }
 
     /// Journal-first apply: assigns the dense task id (for `Submit`/`Shed`),
-    /// stamps and sequences the command, appends it, then folds it into
-    /// the machine. Returns the journaled command alongside the outcome so
-    /// callers can mirror the exact log (tests, audits).
+    /// stamps and sequences the command, and commits it. Returns the
+    /// journaled command alongside the outcome so callers can mirror the
+    /// exact log (tests, audits).
     pub fn apply(&mut self, at: Time, kind: CommandKind) -> io::Result<(Command, ApplyOutcome)> {
-        let kind = self.assign_id(kind);
+        let machine = self.machine();
         let cmd = Command {
-            seq: self.machine.applied(),
-            at: at.max(self.machine.now()),
-            kind,
+            seq: machine.applied(),
+            at: at.max(machine.now()),
+            kind: with_task_id(kind, TaskId(machine.next_task_id())),
         };
         let payload = serde_json::to_vec(&cmd).expect("service commands always serialize");
-        // The durability half and the compute half of the apply path are
-        // timed separately (fsync stalls vs fold cost); the registry only
-        // observes wall time, never feeds into `at` or the payload.
-        metrics::time(Series::ServeJournalAppend, || {
-            self.journal.append_event(&payload)
-        })?;
-        let outcome = metrics::time(Series::ServeApply, || self.machine.apply(&cmd));
-        self.since_snapshot += 1;
-        if self.snapshot_every > 0 && self.since_snapshot >= self.snapshot_every {
-            self.snapshot_now()?;
-        }
+        let outcome = self.0.commit(&payload, |machine| machine.apply(&cmd))?;
         Ok((cmd, outcome))
-    }
-
-    fn assign_id(&self, kind: CommandKind) -> CommandKind {
-        let id = TaskId(self.machine.next_task_id());
-        match kind {
-            CommandKind::Submit { mut spec } => {
-                spec.id = id;
-                CommandKind::Submit { spec }
-            }
-            CommandKind::Shed {
-                mut spec,
-                queue_depth,
-                reason,
-            } => {
-                spec.id = id;
-                CommandKind::Shed {
-                    spec,
-                    queue_depth,
-                    reason,
-                }
-            }
-            other => other,
-        }
-    }
-
-    /// Folds a snapshot into the journal now and resets the cadence.
-    /// Capture, encode and append are timed together as the
-    /// `serve_snapshot` stall.
-    pub fn snapshot_now(&mut self) -> io::Result<()> {
-        let (machine, journal) = (&self.machine, &mut self.journal);
-        metrics::time(Series::ServeSnapshot, || {
-            let payload =
-                serde_json::to_vec(&machine.snapshot()).expect("snapshots always serialize");
-            journal.append_snapshot(&payload)
-        })?;
-        self.since_snapshot = 0;
-        Ok(())
-    }
-
-    /// Forces buffered journal bytes to stable storage.
-    pub fn sync(&mut self) -> io::Result<()> {
-        self.journal.sync()
     }
 
     /// The machine (read-only).
     pub fn machine(&self) -> &ServiceMachine {
-        &self.machine
+        self.0.run()
     }
+}
 
-    /// The journal (read-only; its `bytes()` are the full log).
-    pub fn journal(&self) -> &Journal {
-        &self.journal
+fn with_task_id(mut kind: CommandKind, id: TaskId) -> CommandKind {
+    if let CommandKind::Submit { spec } | CommandKind::Shed { spec, .. } = &mut kind {
+        spec.id = id;
     }
+    kind
+}
 
-    /// Consumes the run, returning its parts.
-    pub fn into_parts(self) -> (ServiceMachine, Journal) {
-        (self.machine, self.journal)
+impl From<DurableRun<ServiceMachine>> for ServiceRun {
+    fn from(run: DurableRun<ServiceMachine>) -> Self {
+        ServiceRun(run)
+    }
+}
+
+impl Deref for ServiceRun {
+    type Target = DurableRun<ServiceMachine>;
+
+    fn deref(&self) -> &Self::Target {
+        &self.0
+    }
+}
+
+impl DerefMut for ServiceRun {
+    fn deref_mut(&mut self) -> &mut Self::Target {
+        &mut self.0
     }
 }
 
@@ -312,22 +203,20 @@ mod tests {
     fn journal_replay_matches_live_machine() {
         let mut run = ServiceRun::new(config(), Journal::in_memory(), 0).unwrap();
         drive(&mut run);
-        let (machine, journal) = run.into_parts();
-        let (recovered, rec) = ServiceRun::recover(journal.bytes()).unwrap();
-        assert_eq!(rec.replayed, 4);
+        let (recovered, rec) = ServiceRun::recover(run.journal().bytes()).unwrap();
+        assert_eq!(rec.replayed_events, 4);
         assert_eq!(rec.dropped_bytes, 0);
-        assert_eq!(recovered.snapshot_json(), machine.snapshot_json());
+        assert_eq!(recovered.snapshot_json(), run.machine().snapshot_json());
     }
 
     #[test]
     fn snapshot_cadence_bounds_replay() {
         let mut run = ServiceRun::new(config(), Journal::in_memory(), 2).unwrap();
         drive(&mut run);
-        let (machine, journal) = run.into_parts();
-        let (recovered, rec) = ServiceRun::recover(journal.bytes()).unwrap();
+        let (recovered, rec) = ServiceRun::recover(run.journal().bytes()).unwrap();
         // Snapshots at 2 and 4 applied commands: nothing left to replay.
-        assert_eq!(rec.replayed, 0);
-        assert_eq!(recovered.snapshot_json(), machine.snapshot_json());
+        assert_eq!(rec.replayed_events, 0);
+        assert_eq!(recovered.snapshot_json(), run.machine().snapshot_json());
     }
 
     #[test]
@@ -342,7 +231,7 @@ mod tests {
                     recoverable_from.get_or_insert(cut);
                     assert!(m.applied() <= 4, "cut at {cut}");
                 }
-                Err(ServiceRecoverError::Journal(_)) => {
+                Err(RecoverError::Framing(_) | RecoverError::NoSnapshot) => {
                     // Only legal before the genesis snapshot is intact.
                     assert!(
                         recoverable_from.is_none(),
@@ -366,8 +255,26 @@ mod tests {
             .unwrap();
         assert!(matches!(
             ServiceRun::recover(j.bytes()),
-            Err(ServiceRecoverError::BadSnapshot(_))
+            Err(RecoverError::BadSnapshot(_))
         ));
+    }
+
+    #[test]
+    fn recover_rejects_commands_out_of_sequence() {
+        let mut run = ServiceRun::new(config(), Journal::in_memory(), 0).unwrap();
+        drive(&mut run);
+        let mut j = Journal::in_memory();
+        j.append_snapshot(run.machine().snapshot_json().as_bytes())
+            .unwrap();
+        // Replays the first command again: a seq the machine is past.
+        let first = r#"{"seq":0,"at":0.0,"kind":"Drain"}"#;
+        j.append_event(first.as_bytes()).unwrap();
+        match ServiceRun::recover(j.bytes()) {
+            Err(RecoverError::Divergence { index: 0, detail }) => {
+                assert!(detail.contains("seq 0"), "{detail}")
+            }
+            other => panic!("expected a divergence, got {:?}", other.map(|(_, r)| r)),
+        }
     }
 
     #[test]
@@ -378,14 +285,14 @@ mod tests {
         let _ = std::fs::remove_file(&path);
 
         let (mut run, rec) = ServiceRun::resume_file(&path, config(), 0, 0).unwrap();
-        assert_eq!(rec.replayed, 0);
+        assert_eq!(rec.replayed_events, 0);
         drive(&mut run);
         run.sync().unwrap();
         let live_json = run.machine().snapshot_json();
         drop(run);
 
         let (mut resumed, rec) = ServiceRun::resume_file(&path, config(), 0, 0).unwrap();
-        assert_eq!(rec.replayed, 4);
+        assert_eq!(rec.replayed_events, 4);
         assert_eq!(resumed.machine().snapshot_json(), live_json);
         // Appends keep working after resume.
         resumed.apply(Time::new(2.0), CommandKind::Drain).unwrap();
@@ -393,7 +300,7 @@ mod tests {
         drop(resumed);
 
         let (after, rec) = ServiceRun::resume_file(&path, config(), 0, 0).unwrap();
-        assert_eq!(rec.replayed, 5);
+        assert_eq!(rec.replayed_events, 5);
         assert!(after.machine().draining());
         std::fs::remove_dir_all(&dir).ok();
     }

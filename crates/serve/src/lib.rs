@@ -11,9 +11,9 @@
 //! generator that proves it under chaos kills.
 //!
 //! Layering: `mbts-serve` sits above `mbts-site` (the state machine's
-//! substrate), `mbts-durable` (the journal), `mbts-trace` (provenance +
-//! the serve summary surfaced by `mbts metrics`), and `mbts-sim` (time,
-//! event queue, the metrics registry).
+//! substrate), `mbts-durable` (the journal and the one journaled runner),
+//! `mbts-trace` (provenance + the serve summary surfaced by `mbts
+//! metrics`), and `mbts-sim` (time, event queue, the metrics registry).
 //!
 //! Network paths never panic: every parse, validation, or serialization
 //! problem becomes a typed 4xx/5xx JSON reply, and the lint below keeps
@@ -29,7 +29,7 @@ pub mod server;
 pub mod top;
 
 pub use flood::{flood, FloodConfig, FloodReport, GATE_MIN_PARALLELISM};
-pub use journaled::{ServiceRecoverError, ServiceRecovery, ServiceRun};
+pub use journaled::ServiceRun;
 pub use machine::{
     ApplyOutcome, Command, CommandKind, MachineConfig, ServeCounters, ServiceMachine,
     ServiceSnapshot, ShedReason, TaskStatus, SERVICE_SNAPSHOT_FORMAT,

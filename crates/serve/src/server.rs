@@ -36,7 +36,7 @@ use std::time::{Duration as StdDuration, Instant};
 
 use mbts_chaos::{ChaosRegistry, FailAction, Firing};
 use mbts_core::Job;
-use mbts_durable::Journal;
+use mbts_durable::{Journal, RecoveryReport};
 use mbts_sim::metrics::{self, elapsed_ns, Gauge, Outcome, Route, Scope, Series};
 use mbts_sim::Time;
 use mbts_site::SiteConfig;
@@ -45,7 +45,7 @@ use mbts_workload::{PenaltyBound, TaskId, TaskSpec};
 use serde::{Deserialize, Serialize};
 
 use crate::http;
-use crate::journaled::{ServiceRecovery, ServiceRun};
+use crate::journaled::ServiceRun;
 use crate::machine::{ApplyOutcome, CommandKind, MachineConfig, ShedReason, TaskStatus};
 
 /// How many queue entries the core drains per lock acquisition.
@@ -423,7 +423,7 @@ pub struct Server {
     accept: thread::JoinHandle<()>,
     core: thread::JoinHandle<io::Result<ServeReport>>,
     /// Startup recovery facts (0/0 for a fresh journal).
-    pub recovery: ServiceRecovery,
+    pub recovery: RecoveryReport,
 }
 
 impl Server {
@@ -441,17 +441,11 @@ impl Server {
             }
             None => {
                 let run = ServiceRun::new(machine_cfg, Journal::in_memory(), cfg.snapshot_every)?;
-                (
-                    run,
-                    ServiceRecovery {
-                        replayed: 0,
-                        dropped_bytes: 0,
-                    },
-                )
+                (run, RecoveryReport::default())
             }
         };
         // Startup facts for the first scrape, before any traffic.
-        metrics::gauge_set(Gauge::RecoveredReplayed, recovery.replayed);
+        metrics::gauge_set(Gauge::RecoveredReplayed, recovery.replayed_events);
         metrics::gauge_set(Gauge::RecoveredDroppedBytes, recovery.dropped_bytes as u64);
         metrics::gauge_set(Gauge::QueueCapacity, cfg.queue_capacity.max(1) as u64);
         metrics::gauge_set(Gauge::QueueSlack, cfg.queue_capacity.max(1) as u64);
@@ -758,7 +752,7 @@ fn core_loop(
     shared: Arc<Shared>,
     throttle: StdDuration,
     discount_rate: f64,
-    recovery: ServiceRecovery,
+    recovery: RecoveryReport,
 ) -> io::Result<ServeReport> {
     let started = Instant::now();
     let mut fatal: Option<io::Error> = None;
@@ -848,7 +842,7 @@ fn core_loop(
         },
         applied: machine.applied(),
         violations: machine.violations(),
-        recovered_replayed: recovery.replayed,
+        recovered_replayed: recovery.replayed_events,
         recovered_dropped_bytes: recovery.dropped_bytes,
         total_yield: machine.metrics().total_yield,
         clean_drain,

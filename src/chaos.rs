@@ -32,14 +32,17 @@
 
 use mbts_chaos::{ChaosRegistry, Scenario, ScenarioTarget};
 use mbts_durable::framing::{write_header, HEADER_LEN};
-use mbts_durable::{corrupt_image, ChaosSink, DurableRun, Journal, Recoverable, SharedImage};
+use mbts_durable::{
+    corrupt_image, ChaosSink, DurableRun, Journal, Recoverable, RecoveryReport, SharedImage,
+    Stepwise,
+};
 use mbts_market::{EconomyConfig, EconomyOutcome, EconomyRun};
 use mbts_serve::{
     ApplyOutcome, Command as ServeCommand, CommandKind, MachineConfig, ServiceMachine, ServiceRun,
     ShedReason,
 };
-use mbts_site::{SiteConfig, SiteRun};
 use mbts_sim::Time;
+use mbts_site::{SiteConfig, SiteRun};
 use mbts_trace::{to_jsonl, TraceEvent, TraceKind, Tracer};
 use mbts_workload::{generate_trace, MixConfig, PenaltyBound, TaskId, TaskSpec, Trace};
 use serde::Serialize;
@@ -89,64 +92,20 @@ pub struct CorpusReport {
     pub deterministic: bool,
 }
 
-fn budget(crashes: u64, name: &str) -> Result<(), String> {
-    if crashes > MAX_CRASHES {
-        return Err(format!(
-            "scenario '{name}': exceeded the {MAX_CRASHES}-crash recovery budget; \
-             gate the fault with `every`/`max_fires` so the run can make progress"
-        ));
-    }
-    Ok(())
-}
+/// Invariants a passing site or market scenario held.
+const SIM_CHECKS: [&str; 3] = [
+    "bit-identical-to-reference",
+    "auditors-clean",
+    "recovery-replay-verified",
+];
 
-/// Converts everything fired since the last drain into `ChaosInjected`
-/// trace events stamped at `at`.
-fn drain_injected(registry: &ChaosRegistry, at: Time, events: &mut Vec<TraceEvent>) {
-    for fault in registry.drain_fired() {
-        events.push(TraceEvent {
-            at,
-            task: None,
-            site: None,
-            kind: TraceKind::ChaosInjected {
-                point: fault.point,
-                action: fault.action.label().to_string(),
-            },
-        });
-    }
-}
-
-fn push_recovered(events: &mut Vec<TraceEvent>, at: Time, point: &str, detail: String) {
-    events.push(TraceEvent {
-        at,
-        task: None,
-        site: None,
-        kind: TraceKind::ChaosRecovered {
-            point: point.to_string(),
-            detail,
-        },
-    });
-}
-
-/// A fresh disk generation: an empty image behind a fault-injecting
-/// sink, fsynced on every append so `durable.sink.sync` failpoints see
-/// one hit per record.
-fn chaos_journal(registry: &Arc<ChaosRegistry>) -> (SharedImage, Journal) {
-    let image = SharedImage::new();
-    let journal = Journal::with_sink(Box::new(ChaosSink::new(image.clone(), Arc::clone(registry))))
-        .with_fsync_every_n(1);
-    (image, journal)
-}
-
-/// What recovery would read off the disk right now: header + the exact
-/// bytes the sink accepted, with one read-time corruption pass applied
-/// (a no-op unless the schedule arms `durable.read`).
-fn disk_image_bytes(image: &SharedImage, registry: &ChaosRegistry) -> Vec<u8> {
-    let mut bytes = Vec::with_capacity(HEADER_LEN + image.len());
-    write_header(&mut bytes);
-    bytes.extend_from_slice(&image.snapshot());
-    let _flipped = corrupt_image(&mut bytes, registry);
-    bytes
-}
+/// Invariants a passing service scenario held.
+const SERVE_CHECKS: [&str; 4] = [
+    "bit-identical-to-reference",
+    "acked-prefix-durable",
+    "auditors-clean",
+    "drained-cleanly",
+];
 
 fn dump(name: &str, label: &str, payload: &str) -> String {
     let dir = std::path::Path::new(DUMP_DIR);
@@ -158,21 +117,21 @@ fn dump(name: &str, label: &str, payload: &str) -> String {
     }
 }
 
-/// The per-target hooks the generic crash-recovery driver needs beyond
+/// The per-target hooks the crash-recovery driver needs beyond
 /// [`Recoverable`].
-trait ChaosTarget: Recoverable + Sized {
+trait ChaosTarget: Recoverable {
     /// Current simulation time (stamps chaos trace events).
     fn sim_now(&self) -> Time;
+
     /// Serialized full replay state, for bit-identity comparison.
-    fn state_json(&self) -> String;
+    fn state_json(&self) -> String {
+        serde_json::to_string(&self.snapshot()).expect("snapshots serialize")
+    }
 }
 
 impl ChaosTarget for SiteRun {
     fn sim_now(&self) -> Time {
         self.now()
-    }
-    fn state_json(&self) -> String {
-        serde_json::to_string(&self.snapshot()).expect("site snapshots serialize")
     }
 }
 
@@ -180,156 +139,198 @@ impl ChaosTarget for EconomyRun {
     fn sim_now(&self) -> Time {
         self.now()
     }
-    fn state_json(&self) -> String {
-        serde_json::to_string(&self.snapshot()).expect("economy snapshots serialize")
+}
+
+impl ChaosTarget for ServiceMachine {
+    fn sim_now(&self) -> Time {
+        self.now()
     }
 }
 
-/// Starts (or restarts) a journaled run on a fresh disk generation,
-/// absorbing genesis-snapshot faults as reformat-and-retry crashes.
-fn genesis<R: ChaosTarget>(
-    mk: &dyn Fn() -> R,
-    registry: &Arc<ChaosRegistry>,
+/// The crash-recovery driver every scenario class shares: it owns the
+/// live disk generation and the crash/replay tallies, and emits the
+/// chaos trace markers.
+struct Driver<'a> {
+    name: &'a str,
+    registry: &'a Arc<ChaosRegistry>,
     snapshot_every: u64,
-    crashes: &mut u64,
-    events: &mut Vec<TraceEvent>,
-    name: &str,
-) -> Result<(SharedImage, DurableRun<R>), String> {
-    loop {
-        let (image, journal) = chaos_journal(registry);
-        let run = mk();
-        let at = run.sim_now();
-        match DurableRun::new(run, journal, snapshot_every) {
-            Ok(durable) => return Ok((image, durable)),
-            Err(err) => {
-                *crashes += 1;
-                budget(*crashes, name)?;
-                drain_injected(registry, at, events);
-                push_recovered(
-                    events,
-                    at,
-                    "durable.sink",
-                    format!("genesis snapshot failed ({err}); reformatted"),
-                );
-            }
+    events: &'a mut Vec<TraceEvent>,
+    image: SharedImage,
+    crashes: u64,
+    replayed: u64,
+}
+
+impl<'a> Driver<'a> {
+    fn new(
+        name: &'a str,
+        registry: &'a Arc<ChaosRegistry>,
+        snapshot_every: u64,
+        events: &'a mut Vec<TraceEvent>,
+    ) -> Self {
+        Driver {
+            name,
+            registry,
+            snapshot_every,
+            events,
+            image: SharedImage::new(),
+            crashes: 0,
+            replayed: 0,
         }
     }
-}
 
-/// Recovers from `disk` and re-journals the run onto a fresh disk
-/// generation. `Ok(None)` means the image held no intact snapshot (the
-/// caller restarts from scratch — determinism makes that equivalent).
-#[allow(clippy::type_complexity)]
-fn recover_and_rejournal<R: ChaosTarget>(
-    disk: &[u8],
-    registry: &Arc<ChaosRegistry>,
-    snapshot_every: u64,
-    crashes: &mut u64,
-    events: &mut Vec<TraceEvent>,
-    at: Time,
-    name: &str,
-) -> Result<Option<(SharedImage, DurableRun<R>, u64)>, String> {
-    let (first, report) = match DurableRun::<R>::recover(disk) {
-        Ok(pair) => pair,
-        Err(_) => return Ok(None),
-    };
-    let mut run = Some(first);
-    loop {
-        let (image, journal) = chaos_journal(registry);
-        // `DurableRun::new` consumes the run even when the genesis
-        // append fails; re-recovering from the same bytes rebuilds it
-        // bit-identically.
-        let r = match run.take() {
-            Some(r) => r,
-            None => {
-                DurableRun::<R>::recover(disk)
-                    .map_err(|e| format!("scenario '{name}': re-recovery failed: {e:?}"))?
-                    .0
-            }
+    /// Converts everything fired since the last drain into
+    /// `ChaosInjected` trace events stamped at `at`.
+    fn drain_injected(&mut self, at: Time) {
+        for fault in self.registry.drain_fired() {
+            let action = fault.action.label().to_string();
+            let point = fault.point;
+            self.push(at, TraceKind::ChaosInjected { point, action });
+        }
+    }
+
+    fn push_recovered(&mut self, at: Time, point: &str, detail: String) {
+        let point = point.to_string();
+        self.push(at, TraceKind::ChaosRecovered { point, detail });
+    }
+
+    fn push(&mut self, at: Time, kind: TraceKind) {
+        let event = TraceEvent {
+            at,
+            task: None,
+            site: None,
+            kind,
         };
-        match DurableRun::new(r, journal, snapshot_every) {
-            Ok(durable) => return Ok(Some((image, durable, report.replayed_events))),
-            Err(err) => {
-                *crashes += 1;
-                budget(*crashes, name)?;
-                drain_injected(registry, at, events);
-                push_recovered(
-                    events,
-                    at,
-                    "durable.sink",
-                    format!("re-genesis failed ({err}); reformatted"),
-                );
-            }
-        }
+        self.events.push(event);
     }
-}
 
-/// Drives a journaled run to completion under disk faults, crashing and
-/// recovering on every surfaced append error. Returns the finished run
-/// plus (crashes, events replayed across recoveries).
-fn run_durable_chaos<R: ChaosTarget>(
-    mk: &dyn Fn() -> R,
-    registry: &Arc<ChaosRegistry>,
-    snapshot_every: u64,
-    events: &mut Vec<TraceEvent>,
-    name: &str,
-) -> Result<(R, u64, u64), String> {
-    let mut crashes = 0u64;
-    let mut replayed = 0u64;
-    let (mut image, mut durable) = genesis(mk, registry, snapshot_every, &mut crashes, events, name)?;
-    loop {
-        match durable.step() {
-            Ok(true) => drain_injected(registry, durable.run().sim_now(), events),
-            Ok(false) => break,
-            Err(err) => {
-                crashes += 1;
-                budget(crashes, name)?;
-                let at = durable.run().sim_now();
-                drain_injected(registry, at, events);
-                let disk = disk_image_bytes(&image, registry);
-                match recover_and_rejournal::<R>(
-                    &disk,
-                    registry,
-                    snapshot_every,
-                    &mut crashes,
-                    events,
-                    at,
-                    name,
-                )? {
-                    Some((ni, nd, rep)) => {
-                        replayed += rep;
-                        push_recovered(
-                            events,
-                            nd.run().sim_now(),
-                            "durable.sink",
-                            format!("crash on '{err}': replayed={rep}"),
-                        );
-                        image = ni;
-                        durable = nd;
-                    }
-                    None => {
-                        // Bit rot (or a fault during genesis) destroyed
-                        // every intact snapshot. A real operator starts
-                        // the run over; determinism guarantees the same
-                        // final state either way.
-                        push_recovered(
-                            events,
-                            at,
-                            "durable.read",
-                            format!("image unrecoverable after '{err}'; restarted from genesis"),
-                        );
-                        let (ni, nd) =
-                            genesis(mk, registry, snapshot_every, &mut crashes, events, name)?;
-                        image = ni;
-                        durable = nd;
-                    }
+    /// Counts one crash at `at` against the recovery budget and stamps
+    /// every fault fired since the last drain.
+    fn crash(&mut self, at: Time) -> Result<(), String> {
+        self.crashes += 1;
+        if self.crashes > MAX_CRASHES {
+            return Err(format!(
+                "scenario '{}': exceeded the {MAX_CRASHES}-crash recovery budget; \
+                 gate the fault with `every`/`max_fires` so the run can make progress",
+                self.name
+            ));
+        }
+        self.drain_injected(at);
+        Ok(())
+    }
+
+    /// What recovery would read off the live generation right now:
+    /// header + the exact bytes the sink accepted, with one read-time
+    /// corruption pass applied (a no-op unless the schedule arms
+    /// `durable.read`).
+    fn read_disk(&self) -> Vec<u8> {
+        let mut bytes = Vec::with_capacity(HEADER_LEN + self.image.len());
+        write_header(&mut bytes);
+        bytes.extend_from_slice(&self.image.snapshot());
+        let _flipped = corrupt_image(&mut bytes, self.registry);
+        bytes
+    }
+
+    /// Journals the run `next()` yields onto a fresh disk generation,
+    /// absorbing faults on its opening snapshot as reformat-and-retry
+    /// crashes (stamped at `at`, or the run's own time when `None`).
+    fn open_generation<R: ChaosTarget>(
+        &mut self,
+        mut next: impl FnMut() -> Result<R, String>,
+        at: Option<Time>,
+        what: &str,
+    ) -> Result<DurableRun<R>, String> {
+        loop {
+            // A fresh disk generation: an empty image behind a
+            // fault-injecting sink, fsynced on every append so
+            // `durable.sink.sync` failpoints see one hit per record.
+            let image = SharedImage::new();
+            let sink = ChaosSink::new(image.clone(), Arc::clone(self.registry));
+            let journal = Journal::with_sink(Box::new(sink)).with_fsync_every_n(1);
+            let run = next()?;
+            let at = at.unwrap_or_else(|| run.sim_now());
+            match DurableRun::new(run, journal, self.snapshot_every) {
+                Ok(durable) => {
+                    self.image = image;
+                    return Ok(durable);
+                }
+                Err(err) => {
+                    self.crash(at)?;
+                    let detail = format!("{what} failed ({err}); reformatted");
+                    self.push_recovered(at, "durable.sink", detail);
                 }
             }
         }
     }
-    drain_injected(registry, durable.run().sim_now(), events);
-    let (run, _journal) = durable.into_parts();
-    Ok((run, crashes, replayed))
+
+    /// Starts (or restarts) a run from scratch.
+    fn genesis<R: ChaosTarget>(&mut self, mk: &dyn Fn() -> R) -> Result<DurableRun<R>, String> {
+        self.open_generation(|| Ok(mk()), None, "genesis snapshot")
+    }
+
+    /// Recovers from `disk` and re-journals the run onto a fresh disk
+    /// generation. `Ok(None)` means the image held no intact snapshot.
+    fn recover_and_rejournal<R: ChaosTarget>(
+        &mut self,
+        disk: &[u8],
+        at: Time,
+    ) -> Result<Option<(DurableRun<R>, RecoveryReport)>, String> {
+        let Ok((first, report)) = DurableRun::<R>::recover(disk) else {
+            return Ok(None);
+        };
+        self.replayed += report.replayed_events;
+        let name = self.name;
+        let mut first = Some(first);
+        // `DurableRun::new` consumes the run even when the genesis append
+        // fails; re-recovering from the same bytes rebuilds it
+        // bit-identically.
+        let next = || match first.take() {
+            Some(run) => Ok(run),
+            None => DurableRun::<R>::recover(disk)
+                .map(|(run, _)| run)
+                .map_err(|e| format!("scenario '{name}': re-recovery failed: {e:?}")),
+        };
+        let durable = self.open_generation(next, Some(at), "re-genesis")?;
+        Ok(Some((durable, report)))
+    }
+}
+
+/// Drives a journaled simulation to completion under disk faults,
+/// crashing and recovering on every surfaced append error.
+fn run_durable_chaos<R: ChaosTarget + Stepwise>(
+    mk: &dyn Fn() -> R,
+    d: &mut Driver,
+) -> Result<R, String> {
+    let mut durable = d.genesis(mk)?;
+    loop {
+        let err = match durable.step() {
+            Ok(true) => {
+                d.drain_injected(durable.run().sim_now());
+                continue;
+            }
+            Ok(false) => break,
+            Err(err) => err,
+        };
+        let at = durable.run().sim_now();
+        d.crash(at)?;
+        let disk = d.read_disk();
+        durable = match d.recover_and_rejournal::<R>(&disk, at)? {
+            Some((recovered, report)) => {
+                let detail = format!("crash on '{err}': replayed={}", report.replayed_events);
+                d.push_recovered(recovered.run().sim_now(), "durable.sink", detail);
+                recovered
+            }
+            None => {
+                // Bit rot (or a fault during genesis) destroyed every
+                // intact snapshot. A real operator starts the run over;
+                // determinism guarantees the same final state either way.
+                let detail = format!("image unrecoverable after '{err}'; restarted from genesis");
+                d.push_recovered(at, "durable.read", detail);
+                d.genesis(mk)?
+            }
+        };
+    }
+    d.drain_injected(durable.run().sim_now());
+    Ok(durable.into_parts().0)
 }
 
 fn bit_identity_check(
@@ -357,18 +358,15 @@ fn site_workload(tasks: u64, processors: usize, load: f64, seed: u64) -> Trace {
     generate_trace(&mix, seed)
 }
 
-#[allow(clippy::too_many_arguments)]
 fn run_site_scenario(
-    name: &str,
+    d: &mut Driver,
     seed: u64,
     tasks: u64,
     processors: usize,
     load: f64,
     policy: &str,
-    snapshot_every: u64,
-    registry: &Arc<ChaosRegistry>,
-    events: &mut Vec<TraceEvent>,
-) -> Result<(u64, u64, Vec<String>), String> {
+) -> Result<(), String> {
+    let name = d.name;
     let policy = crate::cli::parse_policy(policy)?;
     let trace = site_workload(tasks, processors, load, seed);
     let config = SiteConfig::new(processors)
@@ -380,25 +378,21 @@ fn run_site_scenario(
     let reference_state = reference.state_json();
 
     let mk = || SiteRun::new(config.clone(), &trace, Tracer::Off);
-    let (run, crashes, replayed) =
-        run_durable_chaos::<SiteRun>(&mk, registry, snapshot_every, events, name)?;
+    let run = run_durable_chaos(&mk, d)?;
 
-    bit_identity_check(name, "final-site-state", &reference_state, &run.state_json())?;
+    bit_identity_check(
+        name,
+        "final-site-state",
+        &reference_state,
+        &run.state_json(),
+    )?;
     let violations = run.state().violations().len();
     if violations > 0 {
         return Err(format!(
             "scenario '{name}': {violations} auditor violations in the faulted run"
         ));
     }
-    Ok((
-        crashes,
-        replayed,
-        vec![
-            "bit-identical-to-reference".to_string(),
-            "auditors-clean".to_string(),
-            "recovery-replay-verified".to_string(),
-        ],
-    ))
+    Ok(())
 }
 
 /// Invariant-auditor violations across the economy: market-level money
@@ -414,19 +408,16 @@ fn economy_audit_violations(outcome: &EconomyOutcome) -> usize {
             .sum::<usize>()
 }
 
-#[allow(clippy::too_many_arguments)]
 fn run_market_scenario(
-    name: &str,
+    d: &mut Driver,
     seed: u64,
     tasks: u64,
     sites: usize,
     processors: usize,
     load: f64,
     policy: &str,
-    snapshot_every: u64,
-    registry: &Arc<ChaosRegistry>,
-    events: &mut Vec<TraceEvent>,
-) -> Result<(u64, u64, Vec<String>), String> {
+) -> Result<(), String> {
+    let name = d.name;
     let policy = crate::cli::parse_policy(policy)?;
     let trace = site_workload(tasks, processors * sites.max(1), load, seed);
     let site = SiteConfig::new(processors)
@@ -439,9 +430,13 @@ fn run_market_scenario(
     let reference_state = reference.state_json();
 
     let mk = || EconomyRun::new(config.clone(), &trace, Tracer::Off);
-    let (run, crashes, replayed) =
-        run_durable_chaos::<EconomyRun>(&mk, registry, snapshot_every, events, name)?;
-    bit_identity_check(name, "final-economy-state", &reference_state, &run.state_json())?;
+    let run = run_durable_chaos(&mk, d)?;
+    bit_identity_check(
+        name,
+        "final-economy-state",
+        &reference_state,
+        &run.state_json(),
+    )?;
     let (outcome, _) = run.finish();
     let audit = economy_audit_violations(&outcome);
     if audit > 0 {
@@ -449,15 +444,7 @@ fn run_market_scenario(
             "scenario '{name}': {audit} conservation-auditor violations in the faulted run"
         ));
     }
-    Ok((
-        crashes,
-        replayed,
-        vec![
-            "bit-identical-to-reference".to_string(),
-            "auditors-clean".to_string(),
-            "recovery-replay-verified".to_string(),
-        ],
-    ))
+    Ok(())
 }
 
 // ---------------------------------------------------------------------------
@@ -578,7 +565,10 @@ fn materialize(
                 return None;
             }
             let task = submitted[(*pick as usize) % submitted.len()];
-            Some((Time::new(*clock), CommandKind::Cancel { task: TaskId(task) }))
+            Some((
+                Time::new(*clock),
+                CommandKind::Cancel { task: TaskId(task) },
+            ))
         }
         ScriptStep::Shed {
             gap,
@@ -630,47 +620,15 @@ fn drive_reference_serve(mc: &MachineConfig, script: &[ScriptStep]) -> String {
     machine.snapshot_json()
 }
 
-/// Opens a fresh journal generation for the service machine, absorbing
-/// genesis-snapshot faults.
-fn serve_generation(
-    machine: &ServiceMachine,
-    registry: &Arc<ChaosRegistry>,
-    crashes: &mut u64,
-    events: &mut Vec<TraceEvent>,
-    at: Time,
-    name: &str,
-) -> Result<(SharedImage, Journal), String> {
-    loop {
-        let (image, mut journal) = chaos_journal(registry);
-        match journal.append_snapshot(machine.snapshot_json().as_bytes()) {
-            Ok(()) => return Ok((image, journal)),
-            Err(err) => {
-                *crashes += 1;
-                budget(*crashes, name)?;
-                drain_injected(registry, at, events);
-                push_recovered(
-                    events,
-                    at,
-                    "durable.sink",
-                    format!("genesis snapshot failed ({err}); reformatted"),
-                );
-            }
-        }
-    }
-}
-
-#[allow(clippy::too_many_arguments)]
 fn run_serve_scenario(
-    name: &str,
+    d: &mut Driver,
     seed: u64,
     commands: u64,
     processors: usize,
     policy: &str,
     queue_capacity: usize,
-    snapshot_every: u64,
-    registry: &Arc<ChaosRegistry>,
-    events: &mut Vec<TraceEvent>,
-) -> Result<(u64, u64, Vec<String>), String> {
+) -> Result<(), String> {
+    let name = d.name;
     let policy = crate::cli::parse_policy(policy)?;
     let mc = MachineConfig {
         site: SiteConfig::new(processors)
@@ -682,169 +640,89 @@ fn run_serve_scenario(
     let script = build_script(seed, commands, queue_capacity);
     let reference_state = drive_reference_serve(&mc, &script);
 
-    let mut crashes = 0u64;
-    let mut replayed = 0u64;
-    let mut machine = ServiceMachine::new(mc.clone());
-    let (mut image, mut journal) =
-        serve_generation(&machine, registry, &mut crashes, events, Time::ZERO, name)?;
+    let mut run = ServiceRun::from(d.genesis(&|| ServiceMachine::new(mc.clone()))?);
     let mut submitted: Vec<u64> = Vec::new();
     let mut acked_tasks: Vec<u64> = Vec::new();
-    let mut since_snapshot = 0u64;
     let mut clock = 0.0f64;
 
-    // Crash + recover; returns true when the in-flight command turned
-    // out to be durable after all (a failed fsync *after* the bytes
-    // landed) and recovery already applied it — the ack-limbo case the
-    // client must not retry.
-    #[allow(clippy::too_many_arguments)]
-    fn crash_recover(
-        name: &str,
-        err: &std::io::Error,
-        at: Time,
-        allow_absorbed: bool,
-        machine: &mut ServiceMachine,
-        image: &mut SharedImage,
-        journal: &mut Journal,
-        registry: &Arc<ChaosRegistry>,
-        crashes: &mut u64,
-        replayed: &mut u64,
-        acked_tasks: &[u64],
-        events: &mut Vec<TraceEvent>,
-    ) -> Result<bool, String> {
-        *crashes += 1;
-        budget(*crashes, name)?;
-        drain_injected(registry, at, events);
-        let disk = disk_image_bytes(image, registry);
-        let (recovered, rec) = ServiceRun::recover(&disk).map_err(|e| {
-            format!("scenario '{name}': acked service state unrecoverable after '{err}': {e:?}")
-        })?;
-        let absorbed = recovered.applied() == machine.applied() + 1;
-        if recovered.applied() != machine.applied() && !(allow_absorbed && absorbed) {
-            return Err(format!(
-                "scenario '{name}': acked-prefix durability violated — {} commands acked, \
-                 {} recovered",
-                machine.applied(),
-                recovered.applied()
-            ));
-        }
-        for &task in acked_tasks {
-            if recovered.status(task).is_none() {
-                return Err(format!(
-                    "scenario '{name}': acked task {task} lost its /status entry across recovery"
-                ));
-            }
-        }
-        *replayed += rec.replayed;
-        push_recovered(
-            events,
-            at,
-            "durable.sink",
-            format!(
-                "crash on '{err}': applied={} replayed={} dropped_bytes={}{}",
-                recovered.applied(),
-                rec.replayed,
-                rec.dropped_bytes,
-                if absorbed { " absorbed-in-flight" } else { "" }
-            ),
-        );
-        *machine = recovered;
-        let (ni, nj) = serve_generation(machine, registry, crashes, events, at, name)?;
-        *image = ni;
-        *journal = nj;
-        Ok(absorbed)
-    }
-
     for step in &script {
-        let Some((at, kind)) = materialize(step, &machine, &submitted, &mut clock) else {
+        let Some((at, kind)) = materialize(step, run.machine(), &submitted, &mut clock) else {
             continue;
         };
+        // `materialize` stamped the id `ServiceRun::apply` assigns.
+        let task = match &kind {
+            CommandKind::Submit { spec } | CommandKind::Shed { spec, .. } => Some(spec.id.0),
+            _ => None,
+        };
         loop {
-            let cmd = ServeCommand {
-                seq: machine.applied(),
-                at,
-                kind: kind.clone(),
+            let before = run.machine().applied();
+            let Err(err) = run.apply(at, kind.clone()) else {
+                d.drain_injected(at);
+                break;
             };
-            let payload = serde_json::to_string(&cmd)
-                .map_err(|e| format!("scenario '{name}': command serialization failed: {e}"))?;
-            match journal.append_event(payload.as_bytes()) {
-                Ok(()) => {
-                    let outcome = machine.apply(&cmd);
-                    match outcome {
-                        ApplyOutcome::Submitted { task, .. } => {
-                            submitted.push(task.0);
-                            acked_tasks.push(task.0);
-                        }
-                        ApplyOutcome::Shed { task, .. } => acked_tasks.push(task.0),
-                        _ => {}
-                    }
-                    drain_injected(registry, at, events);
-                    since_snapshot += 1;
-                    if snapshot_every > 0 && since_snapshot >= snapshot_every {
-                        match journal.append_snapshot(machine.snapshot_json().as_bytes()) {
-                            Ok(()) => since_snapshot = 0,
-                            Err(err) => {
-                                // A snapshot is never in ack limbo: commands
-                                // on disk are unaffected whether or not the
-                                // snapshot record survived.
-                                crash_recover(
-                                    name,
-                                    &err,
-                                    at,
-                                    false,
-                                    &mut machine,
-                                    &mut image,
-                                    &mut journal,
-                                    registry,
-                                    &mut crashes,
-                                    &mut replayed,
-                                    &acked_tasks,
-                                    events,
-                                )?;
-                                since_snapshot = 0;
-                            }
-                        }
-                    }
-                    break;
-                }
-                Err(err) => {
-                    let absorbed = crash_recover(
-                        name,
-                        &err,
-                        at,
-                        true,
-                        &mut machine,
-                        &mut image,
-                        &mut journal,
-                        registry,
-                        &mut crashes,
-                        &mut replayed,
-                        &acked_tasks,
-                        events,
-                    )?;
-                    if absorbed {
-                        // Recovery applied the in-flight command; account
-                        // for its (deterministic, pre-assigned) task id
-                        // and move on without retrying.
-                        match &kind {
-                            CommandKind::Submit { spec } | CommandKind::Shed { spec, .. } => {
-                                if matches!(kind, CommandKind::Submit { .. }) {
-                                    submitted.push(spec.id.0);
-                                }
-                                acked_tasks.push(spec.id.0);
-                            }
-                            _ => {}
-                        }
-                        since_snapshot += 1;
-                        break;
-                    }
-                    // Not absorbed: the command never became durable —
-                    // retry it against the recovered machine.
-                }
+            // A failed cadence snapshot comes after the command applied:
+            // it is acked, and recovery must hold it.
+            let live = run.machine().applied();
+            let in_flight = task.filter(|_| live > before);
+            d.crash(at)?;
+            let disk = d.read_disk();
+            let (recovered, report) = d
+                .recover_and_rejournal::<ServiceMachine>(&disk, at)?
+                .ok_or_else(|| {
+                    format!("scenario '{name}': acked service state unrecoverable after '{err}'")
+                })?;
+            let machine = recovered.run();
+            // Ack limbo: a failed fsync after the command's bytes landed
+            // leaves it durable though never acked; recovery applies it
+            // exactly once and the client must not retry.
+            let absorbed = live == before && machine.applied() == before + 1;
+            if machine.applied() != live && !absorbed {
+                return Err(format!(
+                    "scenario '{name}': acked-prefix durability violated — {live} commands \
+                     acked, {} recovered",
+                    machine.applied()
+                ));
+            }
+            let mut acked = acked_tasks.iter().copied().chain(in_flight);
+            if let Some(lost) = acked.find(|&t| machine.status(t).is_none()) {
+                return Err(format!(
+                    "scenario '{name}': acked task {lost} lost its /status entry across recovery"
+                ));
+            }
+            d.push_recovered(
+                at,
+                "durable.sink",
+                format!(
+                    "crash on '{err}': applied={} replayed={} dropped_bytes={}{}",
+                    machine.applied(),
+                    report.replayed_events,
+                    report.dropped_bytes,
+                    if absorbed { " absorbed-in-flight" } else { "" }
+                ),
+            );
+            let landed = machine.applied() > before;
+            run = ServiceRun::from(recovered);
+            if landed {
+                break;
+            }
+            // The command never became durable: retry it against the
+            // recovered machine.
+        }
+        if let Some(task) = task {
+            acked_tasks.push(task);
+            if matches!(kind, CommandKind::Submit { .. }) {
+                submitted.push(task);
             }
         }
     }
 
-    bit_identity_check(name, "final-service-state", &reference_state, &machine.snapshot_json())?;
+    let machine = run.machine();
+    bit_identity_check(
+        name,
+        "final-service-state",
+        &reference_state,
+        &machine.state_json(),
+    )?;
     if machine.violations() > 0 {
         return Err(format!(
             "scenario '{name}': {} auditor violations in the faulted service run",
@@ -856,16 +734,7 @@ fn run_serve_scenario(
             "scenario '{name}': the drain command never survived to the machine"
         ));
     }
-    Ok((
-        crashes,
-        replayed,
-        vec![
-            "bit-identical-to-reference".to_string(),
-            "acked-prefix-durable".to_string(),
-            "auditors-clean".to_string(),
-            "drained-cleanly".to_string(),
-        ],
-    ))
+    Ok(())
 }
 
 /// Runs one scenario once. The trace events returned are the chaos
@@ -879,61 +748,53 @@ pub fn run_scenario(
     let registry = Arc::new(ChaosRegistry::new(seed, scenario.failpoints.clone()));
     let mut events = Vec::new();
     let name = scenario.name.as_str();
-    let (crashes, replayed, checks) = match &scenario.target {
+    let mut d = Driver::new(
+        name,
+        &registry,
+        scenario.target.snapshot_every(),
+        &mut events,
+    );
+    let checks: &[&str] = match &scenario.target {
         ScenarioTarget::Site {
             tasks,
             processors,
             load,
             policy,
-            snapshot_every,
-        } => run_site_scenario(
-            name,
-            seed,
-            *tasks,
-            *processors,
-            *load,
-            policy,
-            *snapshot_every,
-            &registry,
-            &mut events,
-        )?,
+            ..
+        } => {
+            run_site_scenario(&mut d, seed, *tasks, *processors, *load, policy)?;
+            &SIM_CHECKS
+        }
         ScenarioTarget::Market {
             tasks,
             sites,
             processors,
             load,
             policy,
-            snapshot_every,
-        } => run_market_scenario(
-            name,
-            seed,
-            *tasks,
-            *sites,
-            *processors,
-            *load,
-            policy,
-            *snapshot_every,
-            &registry,
-            &mut events,
-        )?,
+            ..
+        } => {
+            run_market_scenario(&mut d, seed, *tasks, *sites, *processors, *load, policy)?;
+            &SIM_CHECKS
+        }
         ScenarioTarget::Serve {
             commands,
             processors,
             policy,
             queue_capacity,
-            snapshot_every,
-        } => run_serve_scenario(
-            name,
-            seed,
-            *commands,
-            *processors,
-            policy,
-            *queue_capacity,
-            *snapshot_every,
-            &registry,
-            &mut events,
-        )?,
+            ..
+        } => {
+            run_serve_scenario(
+                &mut d,
+                seed,
+                *commands,
+                *processors,
+                policy,
+                *queue_capacity,
+            )?;
+            &SERVE_CHECKS
+        }
     };
+    let (crashes, replayed) = (d.crashes, d.replayed);
     if !scenario.failpoints.is_empty() && registry.fired_total() == 0 {
         return Err(format!(
             "scenario '{name}': schedule armed but no failpoint ever fired — \
@@ -949,7 +810,7 @@ pub fn run_scenario(
             by_point: registry.fired_by_point(),
             crashes,
             replayed,
-            checks,
+            checks: checks.iter().map(|c| c.to_string()).collect(),
         },
         events,
     ))

@@ -62,6 +62,7 @@
 //! `slack:<threshold>`.
 
 use mbts_core::{AdmissionPolicy, Policy};
+use mbts_durable::{DurableRun, RecoveryReport};
 use mbts_market::{ClientSelection, Economy, EconomyConfig, PricingStrategy};
 use mbts_site::{class_breakdown, render_gantt, Site, SiteConfig};
 use mbts_workload::{
@@ -832,8 +833,9 @@ pub fn parse(args: &[String]) -> Result<Command, String> {
 }
 
 /// The one flag scanner: every argument must be one of the
-/// space-separated `valued` flags (its value is skipped) or `switches`,
-/// or — when `positional` — an input path. Returns the inputs in order.
+/// space-separated `valued` flags (followed by a value that is not
+/// itself a `--flag`) or `switches`, each given at most once, or — when
+/// `positional` — an input path. Returns the inputs in order.
 fn scan_flags(
     rest: &[&str],
     valued: &str,
@@ -842,11 +844,17 @@ fn scan_flags(
 ) -> Result<Vec<PathBuf>, String> {
     let listed = |table: &str, a: &str| table.split_whitespace().any(|f| f == a);
     let mut inputs = Vec::new();
+    let mut seen = Vec::new();
     let mut args = rest.iter();
     while let Some(&a) = args.next() {
-        if listed(valued, a) {
-            args.next();
-        } else if listed(switches, a) {
+        if listed(valued, a) || listed(switches, a) {
+            if seen.contains(&a) {
+                return Err(format!("flag '{a}' given more than once"));
+            }
+            seen.push(a);
+            if listed(valued, a) && args.next().is_none_or(|v| v.starts_with("--")) {
+                return Err(format!("{a} needs a value"));
+            }
         } else if a.starts_with('-') {
             return Err(format!("unknown flag '{a}'"));
         } else if positional {
@@ -910,7 +918,7 @@ fn market_summary(
 fn resume_banner(
     kind: &str,
     events_handled: u64,
-    report: &mbts_durable::RecoveryReport,
+    report: &RecoveryReport,
     out: &mut dyn std::io::Write,
 ) -> Result<(), String> {
     writeln!(
@@ -1053,6 +1061,38 @@ fn flood_report_json(
     serde_json::to_string_pretty(&doc).map_err(|e| e.to_string())
 }
 
+/// A journal recovered by whichever runner its snapshot schema fits.
+enum RecoveredJournal {
+    Site(mbts_site::SiteRun, RecoveryReport),
+    Economy(mbts_market::EconomyRun, RecoveryReport),
+    Service(mbts_serve::ServiceMachine, RecoveryReport),
+}
+
+/// Recovers a journal of any kind, trying site, economy, then service;
+/// the error names every attempt: "cannot {verb} {path}: as site run: …".
+fn recover_journal(
+    bytes: &[u8],
+    verb: &str,
+    path: &std::path::Path,
+) -> Result<RecoveredJournal, String> {
+    let site_err = match DurableRun::recover(bytes) {
+        Ok((run, report)) => return Ok(RecoveredJournal::Site(run, report)),
+        Err(e) => e,
+    };
+    let eco_err = match DurableRun::recover(bytes) {
+        Ok((run, report)) => return Ok(RecoveredJournal::Economy(run, report)),
+        Err(e) => e,
+    };
+    match DurableRun::recover(bytes) {
+        Ok((machine, report)) => Ok(RecoveredJournal::Service(machine, report)),
+        Err(serve_err) => Err(format!(
+            "cannot {verb} {}: as site run: {site_err}; as economy run: {eco_err}; \
+             as service journal: {serve_err}",
+            path.display()
+        )),
+    }
+}
+
 /// Detects what kind of file an `analyze` input is and loads it:
 /// durable journals are recognized by their magic header (the run is
 /// replayed to completion and its captured tracer events extracted),
@@ -1061,36 +1101,18 @@ fn flood_report_json(
 fn load_analyze_input(path: &std::path::Path) -> Result<AnalyzeInput, String> {
     let bytes = std::fs::read(path).map_err(|e| format!("cannot read {}: {e}", path.display()))?;
     if bytes.starts_with(&mbts_durable::framing::MAGIC) {
-        return match mbts_durable::DurableRun::<mbts_site::SiteRun>::recover(&bytes) {
-            Ok((mut run, _)) => {
+        let events = match recover_journal(&bytes, "replay journal", path)? {
+            RecoveredJournal::Site(mut run, _) => {
                 run.run_to_completion();
-                let (_, tracer) = run.finish();
-                Ok(AnalyzeInput::Events(
-                    tracer.into_events().unwrap_or_default(),
-                ))
+                run.finish().1.into_events()
             }
-            Err(site_err) => {
-                match mbts_durable::DurableRun::<mbts_market::EconomyRun>::recover(&bytes) {
-                    Ok((mut run, _)) => {
-                        run.run_to_completion();
-                        let (_, tracer) = run.finish();
-                        Ok(AnalyzeInput::Events(
-                            tracer.into_events().unwrap_or_default(),
-                        ))
-                    }
-                    Err(eco_err) => match mbts_serve::ServiceRun::recover(&bytes) {
-                        Ok((machine, _)) => Ok(AnalyzeInput::Events(
-                            machine.into_trace_events().unwrap_or_default(),
-                        )),
-                        Err(serve_err) => Err(format!(
-                            "cannot replay journal {}: as site run: {site_err}; \
-                             as economy run: {eco_err}; as service journal: {serve_err}",
-                            path.display()
-                        )),
-                    },
-                }
+            RecoveredJournal::Economy(mut run, _) => {
+                run.run_to_completion();
+                run.finish().1.into_events()
             }
+            RecoveredJournal::Service(machine, _) => machine.into_trace_events(),
         };
+        return Ok(AnalyzeInput::Events(events.unwrap_or_default()));
     }
     let text =
         String::from_utf8(bytes).map_err(|e| format!("{} is not UTF-8: {e}", path.display()))?;
@@ -1180,23 +1202,12 @@ pub fn execute(cmd: Command, out: &mut dyn std::io::Write) -> Result<(), String>
                 (Some(path), _) => {
                     let j = mbts_durable::Journal::create(&path)
                         .map_err(|e| format!("cannot create {}: {e}", path.display()))?;
-                    let mut durable = match &wfset {
-                        Some(set) => mbts_durable::durable_site_workflow_run(
-                            site.clone(),
-                            set,
-                            tracer,
-                            j,
-                            JOURNAL_SNAPSHOT_EVERY,
-                        ),
-                        None => mbts_durable::durable_site_run(
-                            site.clone(),
-                            &trace,
-                            tracer,
-                            j,
-                            JOURNAL_SNAPSHOT_EVERY,
-                        ),
-                    }
-                    .map_err(|e| format!("cannot journal to {}: {e}", path.display()))?;
+                    let run = match &wfset {
+                        Some(set) => mbts_site::SiteRun::with_workflows(site.clone(), set, tracer),
+                        None => mbts_site::SiteRun::new(site.clone(), &trace, tracer),
+                    };
+                    let mut durable = DurableRun::new(run, j, JOURNAL_SNAPSHOT_EVERY)
+                        .map_err(|e| format!("cannot journal to {}: {e}", path.display()))?;
                     durable
                         .run_to_completion()
                         .map_err(|e| format!("journal write failed: {e}"))?;
@@ -1326,14 +1337,9 @@ pub fn execute(cmd: Command, out: &mut dyn std::io::Write) -> Result<(), String>
                 Some(path) => {
                     let j = mbts_durable::Journal::create(&path)
                         .map_err(|e| format!("cannot create {}: {e}", path.display()))?;
-                    let mut durable = mbts_durable::durable_economy_run(
-                        economy,
-                        &trace,
-                        tracer,
-                        j,
-                        JOURNAL_SNAPSHOT_EVERY,
-                    )
-                    .map_err(|e| format!("cannot journal to {}: {e}", path.display()))?;
+                    let run = mbts_market::EconomyRun::new(economy, &trace, tracer);
+                    let mut durable = DurableRun::new(run, j, JOURNAL_SNAPSHOT_EVERY)
+                        .map_err(|e| format!("cannot journal to {}: {e}", path.display()))?;
                     durable
                         .run_to_completion()
                         .map_err(|e| format!("journal write failed: {e}"))?;
@@ -1446,11 +1452,8 @@ pub fn execute(cmd: Command, out: &mut dyn std::io::Write) -> Result<(), String>
         Command::Resume { journal } => {
             let bytes = mbts_durable::load(&journal)
                 .map_err(|e| format!("cannot read {}: {e}", journal.display()))?;
-            // A journal is either a site run or an economy run; the
-            // snapshot schema disambiguates, so try site first and fall
-            // back to economy.
-            match mbts_durable::DurableRun::<mbts_site::SiteRun>::recover(&bytes) {
-                Ok((mut run, report)) => {
+            match recover_journal(&bytes, "resume", &journal)? {
+                RecoveredJournal::Site(mut run, report) => {
                     resume_banner("site", run.events_handled(), &report, out)?;
                     run.run_to_completion();
                     let (outcome, _) = run.finish();
@@ -1462,54 +1465,37 @@ pub fn execute(cmd: Command, out: &mut dyn std::io::Write) -> Result<(), String>
                     )
                     .map_err(|e| e.to_string())
                 }
-                Err(site_err) => {
-                    match mbts_durable::DurableRun::<mbts_market::EconomyRun>::recover(&bytes) {
-                        Ok((mut run, report)) => {
-                            resume_banner("economy", run.events_handled(), &report, out)?;
-                            run.run_to_completion();
-                            let (outcome, _) = run.finish();
-                            market_summary(&outcome, out)
-                        }
-                        Err(eco_err) => match mbts_serve::ServiceRun::recover(&bytes) {
-                            Ok((machine, recovery)) => {
-                                writeln!(
-                                    out,
-                                    "recovered service run at command {} \
-                                     (replayed {} journaled commands, dropped {} torn bytes)",
-                                    machine.applied(),
-                                    recovery.replayed,
-                                    recovery.dropped_bytes
-                                )
-                                .map_err(|e| e.to_string())?;
-                                let c = machine.counters();
-                                writeln!(
-                                    out,
-                                    "accepted {}  rejected {}  shed {}  cancelled {}  \
-                                     finished {}  drains {}",
-                                    c.accepted,
-                                    c.rejected,
-                                    c.shed,
-                                    c.cancelled,
-                                    c.finished,
-                                    c.drains
-                                )
-                                .map_err(|e| e.to_string())?;
-                                writeln!(
-                                    out,
-                                    "now {}  yield {:.1}  violations {}",
-                                    machine.now(),
-                                    machine.metrics().total_yield,
-                                    machine.violations()
-                                )
-                                .map_err(|e| e.to_string())
-                            }
-                            Err(serve_err) => Err(format!(
-                                "cannot resume {}: as site run: {site_err}; \
-                                 as economy run: {eco_err}; as service journal: {serve_err}",
-                                journal.display()
-                            )),
-                        },
-                    }
+                RecoveredJournal::Economy(mut run, report) => {
+                    resume_banner("economy", run.events_handled(), &report, out)?;
+                    run.run_to_completion();
+                    let (outcome, _) = run.finish();
+                    market_summary(&outcome, out)
+                }
+                RecoveredJournal::Service(machine, report) => {
+                    writeln!(
+                        out,
+                        "recovered service run at command {} \
+                         (replayed {} journaled commands, dropped {} torn bytes)",
+                        machine.applied(),
+                        report.replayed_events,
+                        report.dropped_bytes
+                    )
+                    .map_err(|e| e.to_string())?;
+                    let c = machine.counters();
+                    writeln!(
+                        out,
+                        "accepted {}  rejected {}  shed {}  cancelled {}  finished {}  drains {}",
+                        c.accepted, c.rejected, c.shed, c.cancelled, c.finished, c.drains
+                    )
+                    .map_err(|e| e.to_string())?;
+                    writeln!(
+                        out,
+                        "now {}  yield {:.1}  violations {}",
+                        machine.now(),
+                        machine.metrics().total_yield,
+                        machine.violations()
+                    )
+                    .map_err(|e| e.to_string())
                 }
             }
         }
@@ -1569,11 +1555,11 @@ pub fn execute(cmd: Command, out: &mut dyn std::io::Write) -> Result<(), String>
             // flooding, so it must be flushed before the daemon blocks.
             writeln!(out, "mbts serve listening on {}", server.addr).map_err(|e| e.to_string())?;
             let recovery = server.recovery;
-            if recovery.replayed > 0 || recovery.dropped_bytes > 0 {
+            if recovery.replayed_events > 0 || recovery.dropped_bytes > 0 {
                 writeln!(
                     out,
                     "recovered service journal: replayed {} commands, dropped {} torn bytes",
-                    recovery.replayed, recovery.dropped_bytes
+                    recovery.replayed_events, recovery.dropped_bytes
                 )
                 .map_err(|e| e.to_string())?;
             }
@@ -1787,8 +1773,7 @@ pub fn execute(cmd: Command, out: &mut dyn std::io::Write) -> Result<(), String>
             }
             let (report, events) = crate::chaos::run_corpus(&scenarios, seed)?;
             if json {
-                let rendered =
-                    serde_json::to_string_pretty(&report).map_err(|e| e.to_string())?;
+                let rendered = serde_json::to_string_pretty(&report).map_err(|e| e.to_string())?;
                 match &out_path {
                     Some(path) => std::fs::write(path, rendered)
                         .map_err(|e| format!("cannot write {}: {e}", path.display()))?,
@@ -2409,6 +2394,36 @@ mod tests {
     }
 
     #[test]
+    fn flag_values_are_strict() {
+        for (line, why) in [
+            ("run --trace t.json --journal", "--journal needs a value"),
+            (
+                "run --trace t.json --trace-out --provenance",
+                "--trace-out needs a value",
+            ),
+            ("serve --journal", "--journal needs a value"),
+            ("serve --journal --provenance", "--journal needs a value"),
+            ("analyze a.jsonl --out", "--out needs a value"),
+            (
+                "run --trace a.json --trace b.json",
+                "flag '--trace' given more than once",
+            ),
+            (
+                "run --trace t.json --preemption --preemption",
+                "flag '--preemption' given more than once",
+            ),
+            (
+                "chaos tests/chaos --seed 6427 --seed 1",
+                "flag '--seed' given more than once",
+            ),
+        ] {
+            assert_eq!(parse(&args(line)).unwrap_err(), why, "{line}");
+        }
+        // A value may still start with a single dash (a negative number).
+        assert!(scan_flags(&["--load", "-1"], "--load", "", false).is_ok());
+    }
+
+    #[test]
     fn parse_analyze_and_metrics_commands() {
         match parse(&args(
             "analyze a.jsonl b.bin --format json --buckets 8 --out r.json",
@@ -2758,8 +2773,65 @@ mod tests {
         assert!(text.contains("recovered economy run"), "{text}");
         assert!(text.contains("offered 80"), "{text}");
 
-        std::fs::remove_file(&trace).ok();
-        std::fs::remove_file(&journal).ok();
+        // A service journal, written by the daemon's runner, resumes and
+        // analyzes through the same detection.
+        let service = dir.join("service.mbtsj");
+        let config = mbts_serve::MachineConfig {
+            provenance: true,
+            ..Default::default()
+        };
+        let j = mbts_durable::Journal::create(&service).unwrap();
+        let mut run = mbts_serve::ServiceRun::new(config, j, 4).unwrap();
+        for i in 0..5 {
+            let at = i as f64;
+            let spec = mbts_workload::TaskSpec::new(
+                0,
+                at,
+                1.0,
+                5.0,
+                0.05,
+                mbts_workload::PenaltyBound::ZERO,
+            );
+            let submit = mbts_serve::CommandKind::Submit { spec };
+            run.apply(mbts_sim::Time::new(at), submit).unwrap();
+        }
+        run.apply(mbts_sim::Time::new(5.0), mbts_serve::CommandKind::Drain)
+            .unwrap();
+        drop(run);
+        let mut buf = Vec::new();
+        execute(
+            parse(&args(&format!("resume --journal {}", service.display()))).unwrap(),
+            &mut buf,
+        )
+        .unwrap();
+        let text = String::from_utf8_lossy(&buf).to_string();
+        assert!(
+            text.contains("recovered service run at command 6 (replayed 2 journaled commands"),
+            "{text}"
+        );
+        assert!(text.contains("drains 1"), "{text}");
+        execute(
+            parse(&args(&format!("analyze {}", service.display()))).unwrap(),
+            &mut Vec::new(),
+        )
+        .unwrap();
+
+        // A framed journal of no known kind names every attempt.
+        let foreign = dir.join("foreign.mbtsj");
+        let mut j = mbts_durable::Journal::create(&foreign).unwrap();
+        j.append_snapshot(br#"{"not":"a run"}"#).unwrap();
+        drop(j);
+        for verb in ["resume --journal", "analyze"] {
+            let line = format!("{verb} {}", foreign.display());
+            let err = execute(parse(&args(&line)).unwrap(), &mut Vec::new()).unwrap_err();
+            for attempt in ["as site run:", "as economy run:", "as service journal:"] {
+                assert!(err.contains(attempt), "{line}: {err}");
+            }
+        }
+
+        for path in [&trace, &journal, &service, &foreign] {
+            std::fs::remove_file(path).ok();
+        }
     }
 
     #[test]
